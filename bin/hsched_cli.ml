@@ -96,8 +96,9 @@ let no_steal_flag =
     value & flag
     & info [ "no-steal" ]
         ~doc:
-          "Give every pool slot a static contiguous chunk of the scenario \
-           space instead of letting drained slots steal from loaded ones.  \
+          "Give every pool slot a static contiguous chunk of the sites of \
+           each analysis sweep (and of each request batch in $(b,serve)) \
+           instead of letting drained slots steal from loaded ones.  \
            Reports are identical either way; this only trades speed for a \
            reference measurement.")
 
@@ -263,7 +264,13 @@ let analyze_cmd =
       with_jobs jobs @@ fun pool ->
       with_trace trace @@ fun writer ->
       let sink = engine_sink writer in
-      Analysis.Engine.analyze (Analysis.Engine.create ~params ~pool ?sink m)
+      try Analysis.Engine.analyze (Analysis.Engine.create ~params ~pool ?sink m)
+      with Analysis.Ir.Scenario_space_too_large { a; b } ->
+        Printf.eprintf
+          "hsched: task %s has more than %d exact scenarios, too many to \
+           enumerate; analyze without --exact for the reduced bound\n"
+          (Analysis.Model.task m a b).Analysis.Model.name max_int;
+        exit 1
     in
     let names a b = (Analysis.Model.task m a b).Analysis.Model.name in
     if csv then begin

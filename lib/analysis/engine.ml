@@ -212,7 +212,7 @@ let best_case t ~jit =
   | Params.Refined -> Best_case.refined t.model ~jit
 
 let response_time t ~phi ~jit ~a ~b =
-  Rta.response_time_site ~pool:t.pool ?memo:t.memo ~counters:t.counters
+  Rta.response_time_site ?memo:t.memo ~counters:t.counters
     (Ir.site t.ir ~a ~b) t.model t.params ~phi ~jit
 
 (* ------------------------------------------------------------------ *)
@@ -257,6 +257,57 @@ type iwarm = {
   iw_resp : Rta.iresponse array array;
 }
 
+(* One Jacobi sweep.  With [incremental], a site none of whose
+   dependency rows — precompiled in the IR — is [changed] since the
+   previous sweep carries its response from [prev]: the response is a
+   pure function of those rows, so the carried value is bit-identical
+   to a recomputation (the qcheck identity properties assert this).
+   The other sites run as one pool region, [compute ~slot site] writing
+   each response at its own index.  A sweep reads only the previous
+   sweep's rows, so the result does not depend on which slot runs which
+   site; [slot] only routes a site to that slot's memo cache, which
+   keeps every cache single-owner.  Site costs vary by orders of
+   magnitude (1 to hundreds of scenarios), hence stealing.  Returns the
+   responses and the recomputed count. *)
+let sweep t ~prev ~changed ~bottom ~compute =
+  let sites = Ir.sites t.ir in
+  let resp, carries =
+    match prev with
+    | Some pr when t.params.Params.incremental ->
+        ( copy_matrix pr,
+          fun (site : Ir.site) ->
+            let d = site.Ir.deps in
+            let hit = ref false in
+            for i = 0 to Array.length d - 1 do
+              if d.(i) && changed i then hit := true
+            done;
+            not !hit )
+    | _ ->
+        ( Array.map
+            (fun (tx : Model.txn) -> Array.map (fun _ -> bottom) tx.Model.tasks)
+            t.model.Model.txns,
+          fun _ -> false )
+  in
+  let todo = Array.make (Array.length sites) 0 in
+  let n = ref 0 in
+  Array.iteri
+    (fun k site ->
+      if not (carries site) then begin
+        todo.(!n) <- k;
+        incr n
+      end)
+    sites;
+  let n = !n in
+  Parallel.Pool.run_ranges t.pool ~steal:t.params.Params.steal
+    ~slots:(Parallel.Pool.slots_for t.pool n)
+    ~n
+    (fun ~slot ~lo ~hi ->
+      for k = lo to hi - 1 do
+        let site = sites.(todo.(k)) in
+        resp.(site.Ir.a).(site.Ir.b) <- compute ~slot site
+      done);
+  (resp, n)
+
 let analyze_rational t ~warm =
   let m = t.model and params = t.params in
   emit t (Analysis_started { variant = params.Params.variant });
@@ -299,37 +350,15 @@ let analyze_rational t ~warm =
     && !iterations < params.Params.max_outer_iterations
   do
     incr iterations;
-    (* Jacobi sweep.  With [incremental], a task none of whose
-       dependency rows — precompiled in the IR — changed since the
-       previous sweep carries its response forward: the response is a
-       pure function of those rows, so the carried value is
-       bit-identical to a recomputation (the qcheck identity properties
-       assert this). *)
-    let dirty (site : Ir.site) =
-      let d = site.Ir.deps in
-      let hit = ref false in
-      for i = 0 to n - 1 do
-        if d.(i) && (jit_dirty.(i) || phi_dirty.(i)) then hit := true
-      done;
-      !hit
+    let changed i = jit_dirty.(i) || phi_dirty.(i) in
+    let resp, recomputed =
+      sweep t ~prev:!prev ~changed ~bottom:Report.Divergent
+        ~compute:(fun ~slot site ->
+          Rta.response_time_site ~slot ?memo:t.memo ~counters:t.counters
+            site m params ~phi:!phi ~jit)
     in
-    let recomputed = ref 0 and carried = ref 0 in
-    let resp =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b ->
-              let site = Ir.site t.ir ~a ~b in
-              match !prev with
-              | Some pr when params.Params.incremental && not (dirty site) ->
-                  incr carried;
-                  pr.(a).(b)
-              | _ ->
-                  incr recomputed;
-                  Rta.response_time_site ~pool:t.pool ?memo:t.memo
-                    ~counters:t.counters site m params ~phi:!phi ~jit))
-    in
-    emit t
-      (Sweep
-         { iteration = !iterations; recomputed = !recomputed; carried = !carried });
+    let carried = Ir.n_tasks t.ir - recomputed in
+    emit t (Sweep { iteration = !iterations; recomputed; carried });
     prev := Some resp;
     responses := resp;
     if params.Params.keep_history then
@@ -480,34 +509,20 @@ let analyze_int t tb ~warm =
     && !iterations < params.Params.max_outer_iterations
   do
     incr iterations;
-    let dirty (site : Ir.site) =
-      let d = site.Ir.deps in
-      let hit = ref false in
-      for i = 0 to n - 1 do
-        if d.(i) && (jit_dirty.(i) || phi_dirty.(i)) then hit := true
-      done;
-      !hit
+    let changed i = jit_dirty.(i) || phi_dirty.(i) in
+    let resp, recomputed =
+      sweep t ~prev:!prev ~changed ~bottom:Rta.IDivergent
+        ~compute:(fun ~slot (site : Ir.site) ->
+          Rta.response_time_site_int tb ~slot ?memo:t.memo
+            ~counters:t.counters
+            ?kernels:
+              (Option.map
+                 (fun kt -> Kernels.site kt ~a:site.Ir.a ~b:site.Ir.b)
+                 t.kernels)
+            site params ~sphi:!phi ~sjit:jit)
     in
-    let recomputed = ref 0 and carried = ref 0 in
-    let resp =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b ->
-              let site = Ir.site t.ir ~a ~b in
-              match !prev with
-              | Some pr when params.Params.incremental && not (dirty site) ->
-                  incr carried;
-                  pr.(a).(b)
-              | _ ->
-                  incr recomputed;
-                  Rta.response_time_site_int tb ~pool:t.pool ?memo:t.memo
-                    ~counters:t.counters
-                    ?kernels:
-                      (Option.map (fun kt -> Kernels.site kt ~a ~b) t.kernels)
-                    site params ~sphi:!phi ~sjit:jit))
-    in
-    emit t
-      (Sweep
-         { iteration = !iterations; recomputed = !recomputed; carried = !carried });
+    let carried = Ir.n_tasks t.ir - recomputed in
+    emit t (Sweep { iteration = !iterations; recomputed; carried });
     prev := Some resp;
     responses := resp;
     if params.Params.keep_history then
@@ -645,9 +660,9 @@ let analyze_dispatch t warm =
 (* Wrap every full analysis with the pool's scheduler accounting: the
    counter deltas over the run are emitted as one [Pool_stats] event
    when the work-stealing machinery engaged at all. *)
-let analyze_with t warm =
+let with_pool_stats t run =
   let before = Parallel.Pool.stats t.pool in
-  let report = analyze_dispatch t warm in
+  let report = run () in
   let after = Parallel.Pool.stats t.pool in
   let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
   and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
@@ -655,6 +670,8 @@ let analyze_with t warm =
   if steals > 0 || splits > 0 || idle > 0 then
     emit t (Pool_stats { steals; splits; idle });
   report
+
+let analyze_with t warm = with_pool_stats t (fun () -> analyze_dispatch t warm)
 
 let analyze t = analyze_with t None
 
@@ -999,15 +1016,7 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok (warm, distance) ->
       Rta.record_delta_run t.counters;
-      let before = Parallel.Pool.stats t.pool in
-      let report = seeded_dispatch t warm in
-      let after = Parallel.Pool.stats t.pool in
-      let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
-      and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
-      and idle = after.Parallel.Pool.idle_slots - before.Parallel.Pool.idle_slots
-      in
-      if steals > 0 || splits > 0 || idle > 0 then
-        emit t (Pool_stats { steals; splits; idle });
+      let report = with_pool_stats t (fun () -> seeded_dispatch t warm) in
       let iterations = report.Report.outer_iterations in
       emit t
         (Seeded

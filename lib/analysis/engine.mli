@@ -14,10 +14,10 @@
     the memo survives parameter changes but never a model change).
 
     Everything an engine computes is bit-identical to the legacy
-    sessionless entry points ({!Holistic.analyze},
-    {!Rta.response_time}): the IR only reorganises static structure, and
-    exact rational arithmetic plus the pool's deterministic slot order
-    do the rest.  The test suite asserts this over random workloads. *)
+    sessionless entry point ({!Holistic.analyze}): the IR only
+    reorganises static structure, and exact arithmetic plus sweeps that
+    write each site's response at its own index do the rest, whatever
+    the pool.  The test suite asserts this over random workloads. *)
 
 type t
 (** One analysis session.  Immutable apart from the memo and counters it
@@ -166,10 +166,14 @@ val kernel_scale : t -> int option
 val analyze : t -> Report.t
 (** The holistic offset-based analysis (Section 3.2): outer Jacobi
     fixed point on the jitters, inner busy-period recurrences per
-    scenario, under the session's params, pool and memo.  Emits
-    [Analysis_started], one [Sweep] per outer iteration and [Finished].
-    Bit-identical to [Holistic.analyze ~params ?pool m] for every job
-    count and parameter toggle.
+    scenario, under the session's params, pool and memo.  Each sweep
+    runs the sites it recomputes as one pool region; each site's
+    scenario enumeration is sequential.  Emits [Analysis_started], one
+    [Sweep] per outer iteration and [Finished].  Bit-identical to
+    [Holistic.analyze ~params ?pool m] for every job count and
+    parameter toggle.
+    @raise Ir.Scenario_space_too_large under the exact variant when a
+    task's scenario space exceeds [max_int].
 
     When the session carries an integer timebase (see {!kernel_scale}),
     the whole fixed point runs on scaled native ints and converts back

@@ -20,8 +20,8 @@ val analyze :
     when [params.keep_history] is off) and the final verdict:
     schedulable iff the iteration converged and the last task of every
     transaction meets the transaction deadline.  [pool] (default
-    {!Parallel.Pool.sequential}) parallelises the exact scenario
-    enumeration; reports are bit-identical for every job count.
+    {!Parallel.Pool.sequential}) runs the sites of each sweep in
+    parallel; reports are bit-identical for every job count.
     @deprecated New code should hold an {!Engine.t} session so the
     compiled IR (and memo, across runs) is reused. *)
 

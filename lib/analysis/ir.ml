@@ -8,6 +8,8 @@ module Q = Rational
 
 type remote = { txn : int; choices : int array; hp_list : int list }
 
+exception Scenario_space_too_large of { a : int; b : int }
+
 type site = {
   a : int;
   b : int;
@@ -21,6 +23,7 @@ type site = {
 
 type t = {
   sites : site array array;
+  flat : site array;  (* [sites], transaction-major *)
   shape : (int * int) array array;  (* (res, prio) per task: the only
                                        model inputs the IR reads *)
   n_txns : int;
@@ -48,9 +51,16 @@ let compile_site m ~a ~b =
   in
   let n_rem = Array.length remotes in
   let stride = Array.make (n_rem + 1) 1 in
-  for ri = 0 to n_rem - 1 do
-    stride.(ri + 1) <- stride.(ri) * Array.length remotes.(ri).choices
-  done;
+  (* A space beyond [max_int] cannot be indexed: the strides stop at the
+     first overflowing product and [total] is left at 0 (a real space
+     never is empty), for [exact_total] to report.  The reduced variant
+     never indexes the space, so such a site still analyses there. *)
+  (try
+     for ri = 0 to n_rem - 1 do
+       stride.(ri + 1) <-
+         Q.Checked.(stride.(ri) * Array.length remotes.(ri).choices)
+     done
+   with Q.Overflow -> stride.(n_rem) <- 0);
   (* The response of (a, b) reads the offset/jitter rows of its own
      transaction and of every remote transaction with interfering
      tasks — exactly the participant set above. *)
@@ -74,9 +84,17 @@ let compile m =
   let n_tasks =
     Array.fold_left (fun acc row -> acc + Array.length row) 0 sites
   in
-  { sites; shape = shape_of m; n_txns = n; n_tasks }
+  {
+    sites;
+    flat = Array.concat (Array.to_list sites);
+    shape = shape_of m;
+    n_txns = n;
+    n_tasks;
+  }
 
 let site t ~a ~b = t.sites.(a).(b)
+
+let sites t = t.flat
 
 let site_of m ~a ~b = compile_site m ~a ~b
 
@@ -84,11 +102,19 @@ let n_txns t = t.n_txns
 
 let n_tasks t = t.n_tasks
 
+let exact_total s =
+  if s.total = 0 then raise (Scenario_space_too_large { a = s.a; b = s.b });
+  s.total
+
 let exact_scenarios t =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc s -> acc + (List.length s.own * s.total)) acc row)
-    0 t.sites
+  try
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left
+          (fun acc s -> Q.Checked.(acc + (List.length s.own * exact_total s)))
+          acc row)
+      0 t.sites
+  with Q.Overflow | Scenario_space_too_large _ -> max_int
 
 let compatible t m = t.shape = shape_of m
 

@@ -31,7 +31,9 @@ type site = {
   stride : int array;
       (** mixed-radix strides; [stride.(Array.length remotes)] is the
           size of the remote scenario space *)
-  total : int;  (** the remote scenario count [Π |choices|] *)
+  total : int;
+      (** the remote scenario count [Π |choices|], or [0] when that
+          product exceeds [max_int] — read it through {!exact_total} *)
   deps : bool array;
       (** [deps.(i)] iff the response of [(a, b)] reads the offset or
           jitter row of transaction [i] — the incremental outer fixed
@@ -39,6 +41,16 @@ type site = {
 }
 (** Everything {!Rta.response_time_site} needs about one task under
     analysis. *)
+
+exception Scenario_space_too_large of { a : int; b : int }
+(** The exact scenario space of task [(a, b)] has more than [max_int]
+    remote scenario vectors, so it cannot be enumerated (nor indexed).
+    Raised by exact analysis only; the reduced variant handles such
+    systems. *)
+
+val exact_total : site -> int
+(** [site.total], the size of the remote scenario space.
+    @raise Scenario_space_too_large when it exceeds [max_int]. *)
 
 type t
 
@@ -50,9 +62,13 @@ val compile : Model.t -> t
 
 val site : t -> a:int -> b:int -> site
 
+val sites : t -> site array
+(** Every site, transaction-major ([(0, 0)], [(0, 1)], …).  Shared, not
+    copied: do not mutate. *)
+
 val site_of : Model.t -> a:int -> b:int -> site
-(** One-off compilation of a single site, for the legacy
-    [Rta.response_time] entry point that has no session to draw on. *)
+(** One-off compilation of a single site, for {!Rta.scenario_count},
+    which has no session to draw on. *)
 
 val n_txns : t -> int
 
@@ -62,7 +78,7 @@ val n_tasks : t -> int
 val exact_scenarios : t -> int
 (** Σ over sites of (own initiators × remote scenarios) — the size of
     the space the exact variant examines, as reported by session
-    compilation events. *)
+    compilation events; [max_int] when that sum does not fit. *)
 
 val timebase : Model.t -> horizon_factor:int -> Timebase.t option
 (** The value-dependent half of session compilation: the scaled-int

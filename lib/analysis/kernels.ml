@@ -9,9 +9,10 @@
    Sites are flattened on first use, not at session creation: the
    delta re-analysis path rebinds a session per admission and then
    touches only the dirty sites, so an eager whole-model sweep here
-   would put O(system) work back on its O(affected) path.  The fill is
-   main-domain-only by construction — [Engine]'s sweep loop resolves a
-   site before dispatching its scenario space to the pool. *)
+   would put O(system) work back on its O(affected) path.  The fill
+   needs no lock: within one sweep region a site is resolved only by
+   the slot that computes it, so every cell has one writer, and the
+   pool's region boundaries order the fills of successive sweeps. *)
 
 type site = {
   own : Interference.iskeleton;

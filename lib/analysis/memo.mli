@@ -17,9 +17,10 @@
     section of docs/THEORY.md for the argument.
 
     Caches are partitioned per task under analysis and per pool slot
-    ({!Parallel.Pool}): the static slot→chunk mapping of the pool
-    guarantees each cache is only ever touched by one domain per region,
-    so no locking is needed, and entries stay warm across sweeps. *)
+    ({!Parallel.Pool}): a sweep passes each site the slot that runs it,
+    and the pool runs slot [s] on one domain only, so each cache is only
+    ever touched by one domain per region and no locking is needed.
+    Entries stay warm across sweeps while a site keeps its slot. *)
 
 type t
 (** Memo state for one {!Holistic.analyze} run. *)

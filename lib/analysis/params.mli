@@ -80,15 +80,14 @@ type t = {
           mid-analysis case).  Disable only to benchmark the kernel
           itself. *)
   steal : bool;
-      (** Let the domain pool's range scheduler steal blocks of the
-          exact scenario enumeration between slots
-          ({!Parallel.Pool.run_ranges}): a slot whose chunk was pruned
-          away takes half of the largest remaining chunk instead of
-          idling.  The enumeration joins scenario maxima commutatively
-          over exact values, so the block geometry never changes the
-          report — reports are bit-identical with stealing on or off
-          (asserted by the test suite and bench X14).  Disable only to
-          benchmark the scheduler itself. *)
+      (** Let the domain pool's range scheduler steal the sites of a
+          Jacobi sweep between slots ({!Parallel.Pool.run_ranges}): a
+          slot whose sites ran cheap takes half of the largest
+          remaining chunk instead of idling.  Every site writes its
+          response at its own index, so the block geometry never
+          changes the report — reports are bit-identical with stealing
+          on or off (asserted by the test suite and bench X14).
+          Disable only to benchmark the scheduler itself. *)
   warm_probes : bool;
       (** Let design-space probe sweeps ({!Design.Param_search},
           {!Design.Sensitivity}, {!Regions.Cell} builds) seed each

@@ -18,22 +18,26 @@
 
     With [params.prune] (the default) the exact enumeration does not
     visit every scenario: the mixed-radix scenario space is explored as
-    a digit tree and sub-trees whose optimistic bound — fixed digits at
-    their actual demand, free digits at the scenario maximum W{^*} —
-    cannot beat the best fully evaluated scenario are skipped.  The
-    enumeration is seeded with the W{^*}-argmax scenario, so the
-    incumbent is strong from the first comparison.  Pruning never drops
-    the maximising scenario (the bound is pointwise conservative and
-    ties are kept until evaluated), so the returned bound is the exact
-    same rational as the exhaustive enumeration, for every job count —
-    see docs/THEORY.md for the dominance argument. *)
+    a digit tree and every block of at least eight scenarios whose
+    optimistic bound — fixed digits at their actual demand, free digits
+    at the scenario maximum W{^*} — cannot beat the best fully
+    evaluated scenario is skipped; smaller blocks are enumerated, since
+    a bound costs at least a leaf.  The enumeration is seeded with the
+    W{^*}-argmax scenario, so the incumbent is strong from the first
+    comparison.  Pruning never drops the maximising scenario (the bound
+    is pointwise conservative and ties are kept until evaluated), so the
+    returned bound is the exact same rational as the exhaustive
+    enumeration — see docs/THEORY.md for the dominance argument.
+
+    One site's enumeration is sequential.  {!Engine} parallelises across
+    the sites of a Jacobi sweep instead, passing each call the pool slot
+    that runs it. *)
 
 (** Scenario accounting, shared by benchmarks and the CLI.  One unit is
     one remote scenario vector ν of Eq. 12 ([Reduced] counts 1 per
-    call).  The counts are cumulative across calls and safe to read
-    concurrently; they are diagnostics only — never part of a
-    {!Report.t} — because the visited/pruned split depends on domain
-    scheduling even though the reported bounds do not. *)
+    call).  The counts are cumulative across calls and safe to bump and
+    read concurrently; they are diagnostics only — never part of a
+    {!Report.t}. *)
 type counters
 
 val counters : unit -> counters
@@ -47,8 +51,9 @@ val visited_scenarios : counters -> int
     pruning, [= total_scenarios] without). *)
 
 val pruned_scenarios : counters -> int
-(** Scenario units discarded by a bound test.  [visited + pruned] can
-    be below [total] — chunks may also be skipped wholesale. *)
+(** Scenario units discarded by a bound test.  With pruning,
+    [visited + pruned] covers [total]; it exceeds it by one when the
+    seed scenario, always visited, also lies in a discarded block. *)
 
 val bound_evaluations : counters -> int
 (** Optimistic block bounds computed (the overhead side of pruning). *)
@@ -83,7 +88,7 @@ val record_delta_fallback : counters -> unit
 (** Bumped by {!Engine.analyze_delta} when a warm run falls back. *)
 
 val response_time_site :
-  ?pool:Parallel.Pool.t ->
+  ?slot:int ->
   ?memo:Memo.t ->
   ?counters:counters ->
   Ir.site ->
@@ -98,19 +103,13 @@ val response_time_site :
     {!Engine} session uses.  The site must come from an IR
     {!Ir.compatible} with [m].
 
-    [pool] splits the exact scenario enumeration (Eq. 12) into
-    contiguous index ranges across the pool's domains
-    ({!Parallel.Pool.run_ranges}); with [params.steal] (the default)
-    idle domains steal ranges from loaded ones.  Ranges share the
-    branch-and-bound incumbent through a {!Parallel.Pool.Cell}, and the
-    final bound is read from the cell, so the result is bit-identical to
-    the sequential enumeration for every job count and steal schedule
-    (the reduced variant's handful of scenarios is never
-    parallelised).
     [memo] caches interference evaluations across calls — see {!Memo};
-    when both are given, slot [s] of the pool only touches cache slot
-    [s], so no synchronisation is needed.  [counters], when given, is
-    bumped with this call's scenario accounting. *)
+    the call only touches the memo's cache of [(site, slot)] ([slot]
+    defaults to 0), so calls on distinct slots need no synchronisation.
+    [counters], when given, is bumped with this call's scenario
+    accounting.
+    @raise Ir.Scenario_space_too_large under [Exact] when the site's
+    scenario space exceeds [max_int]. *)
 
 (** {1 Integer timeline twin} *)
 
@@ -126,7 +125,7 @@ val iresponse_to_bound : Timebase.t -> iresponse -> Report.bound
 
 val response_time_site_int :
   Timebase.t ->
-  ?pool:Parallel.Pool.t ->
+  ?slot:int ->
   ?memo:Memo.t ->
   ?counters:counters ->
   ?kernels:Kernels.site ->
@@ -136,8 +135,8 @@ val response_time_site_int :
   sjit:int array array ->
   iresponse
 (** {!response_time_site} on the integer timeline: same scenario
-    enumeration (including branch-and-bound pruning and the chunked
-    parallel split), all inner fixed points on scaled native ints.
+    enumeration (including branch-and-bound pruning), all inner fixed
+    points on scaled native ints.
     [sphi]/[sjit] are the scaled offset and jitter matrices.  The result
     is the exact scaled image of the rational bound; any intermediate
     overflow raises [Rational.Overflow], which {!Engine.analyze} turns
@@ -148,24 +147,8 @@ val response_time_site_int :
     per timebase); without it the skeletons are flattened on the fly —
     same result, more allocation. *)
 
-val response_time :
-  ?pool:Parallel.Pool.t ->
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  Model.t ->
-  Params.t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  a:int ->
-  b:int ->
-  Report.bound
-(** Sessionless convenience: {!Ir.site_of} followed by
-    {!response_time_site} — identical result, but the participant sets
-    are recompiled on every call.
-    @deprecated Use an {!Engine} session (or {!response_time_site} with
-    a compiled {!Ir.t}) so the static scenario layout is compiled
-    once. *)
-
 val scenario_count : Model.t -> Params.t -> a:int -> b:int -> int
 (** Number of scenarios the chosen variant examines for task [(a, b)]
-    (Eq. 12 for [Exact]; [N_a + 1] for [Reduced]). *)
+    (Eq. 12 for [Exact]; [N_a + 1] for [Reduced]).
+    @raise Ir.Scenario_space_too_large under [Exact] when the remote
+    scenario space exceeds [max_int]. *)

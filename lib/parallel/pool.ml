@@ -182,30 +182,15 @@ let run t f =
 
 let chunk ~jobs ~n ~slot = (slot * n / jobs, (slot + 1) * n / jobs)
 
-(* Waking the resident domains costs a few microseconds of mutex and
-   condition traffic; an item of analysis work (one scenario's busy
-   fixpoints) costs on the order of one.  Regions smaller than a few
-   items per slot therefore lose more to dispatch than they gain from
-   parallelism — the caller should run them inline on slot 0. *)
-let default_min_chunk = 8
-
 (* Slots beyond the cores the host actually offers cannot run in
    parallel: the extra slots serialise behind the same cores and pay
-   the wake-up for nothing, so [slots_for] also caps at the hardware
+   the wake-up for nothing, so [slots_for] caps at the hardware
    parallelism.  Slot identity is untouched — per-slot state such as
-   memo shards is still sized by [jobs].  The cutoff is cost-aware:
-   [weight] is the caller's estimate of one item in units of the
-   cheapest item the pool is worth waking for, so a region of 3 items
-   each worth 50 units parallelises while 7 unit items stay inline. *)
-let slots_for ?(min_chunk = default_min_chunk) ?(weight = 1) t n =
-  if n <= 0 then 1
-  else
-    let weight = Stdlib.max 1 weight in
-    let by_chunk =
-      if min_chunk <= weight then n else n * weight / min_chunk
-    in
-    let cap = Stdlib.min t.jobs (Lazy.force hardware_slots) in
-    Stdlib.min cap (Stdlib.max 1 (Stdlib.min n by_chunk))
+   memo shards is still sized by [jobs].  Every caller's items (a whole
+   site enumeration, a whole request analysis) dwarf the few
+   microseconds of a wake-up, so there is no per-item cost cutoff. *)
+let slots_for t n =
+  Stdlib.max 1 (Stdlib.min n (Stdlib.min t.jobs (Lazy.force hardware_slots)))
 
 let stats t =
   {
@@ -213,28 +198,6 @@ let stats t =
     splits = Atomic.get t.n_splits;
     idle_slots = Atomic.get t.n_idle;
   }
-
-(* A lock-free cell holding the join of everything published to it.
-   Because the join is associative, commutative and idempotent, the
-   final value does not depend on the interleaving of the publishing
-   slots — only on the set of published values.  Used by the
-   branch-and-bound scenario enumeration to share the best response
-   found so far across chunks: a racy read can only under-approximate
-   the join, which merely prunes less, never changes a result. *)
-module Cell = struct
-  type 'a t = { cell : 'a Atomic.t; join : 'a -> 'a -> 'a }
-
-  let create join init = { cell = Atomic.make init; join }
-
-  let get t = Atomic.get t.cell
-
-  let rec join t v =
-    let cur = Atomic.get t.cell in
-    let next = t.join cur v in
-    if next = cur then ()
-    else if Atomic.compare_and_set t.cell cur next then ()
-    else join t v
-end
 
 let tabulate t n f =
   if n < 0 then invalid_arg "Parallel.Pool.tabulate: negative length";
@@ -275,10 +238,9 @@ let map_list t f l =
    have executed remains, so exiting early never drops an index. *)
 type range = { lo : int; hi : int }
 
-let run_ranges ?(steal = true) ?(min_block = 1) t ~slots ~n f =
+let run_ranges ?(steal = true) t ~slots ~n f =
   if n > 0 then begin
     let slots = Stdlib.max 1 (Stdlib.min slots t.jobs) in
-    let min_block = Stdlib.max 1 min_block in
     if slots = 1 then f ~slot:0 ~lo:0 ~hi:n
     else if not steal then
       (* Static geometry: exactly the contiguous chunks the pre-stealing
@@ -299,7 +261,7 @@ let run_ranges ?(steal = true) ?(min_block = 1) t ~slots ~n f =
         let len = r.hi - r.lo in
         if len <= 0 then None
         else
-          let blk = Stdlib.min len (Stdlib.max min_block ((len + 1) / 2)) in
+          let blk = (len + 1) / 2 in
           if Atomic.compare_and_set deques.(s) r { r with lo = r.lo + blk }
           then begin
             if blk < len then Atomic.incr t.n_splits;

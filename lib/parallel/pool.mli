@@ -9,14 +9,13 @@
     per slot with the contiguous chunk [\[s·n/slots, (s+1)·n/slots)],
     owners claim halving blocks off the front, and a slot that drains
     its own deque steals the back half of the largest remaining deque
-    instead of idling — so a slot whose branch-and-bound chunk was
-    pruned away keeps contributing.  Determinism survives because the
-    analysis only ever {e joins} range results with associative,
-    commutative, idempotent operations (maxima over exact rationals or
-    scaled ints) or writes them at their index: the set of indices
-    executed is always exactly [\[0, n)], so the join is a pure function
-    of the inputs whatever the block geometry.  A computation run with
-    any job count — stealing on or off — returns results bit-identical
+    instead of idling — so a slot whose items ran cheap keeps
+    contributing.  Determinism survives because the analysis writes
+    every item's result at its index (a Jacobi sweep's sites, a batch's
+    requests): the set of indices executed is always exactly
+    [\[0, n)], so the results are a pure function of the inputs
+    whatever the block geometry.  A computation run with any job
+    count — stealing on or off — returns results bit-identical
     to the sequential run, the property the determinism tests assert
     (see docs/PERFORMANCE.md and the memoization section of
     docs/THEORY.md).
@@ -64,26 +63,16 @@ val run : t -> (int -> unit) -> unit
     slots raise, the exception of the lowest slot is re-raised in the
     caller (deterministically), after every slot has completed. *)
 
-val slots_for : ?min_chunk:int -> ?weight:int -> t -> int -> int
+val slots_for : t -> int -> int
 (** [slots_for t n] is the number of slots a region of [n] items should
-    be split over: at most [jobs t], at most the host's recommended
-    domain count (extra slots cannot run in parallel and only pay
-    dispatch), and no more than [n·weight / min_chunk] so each woken
-    domain amortises the dispatch cost over at least [min_chunk] units
-    of work.  [weight] (default 1) is the caller's per-item cost hint in
-    units of the cheapest item worth dispatching for — one scenario's
-    busy fixpoints; a region of 3 whole-analysis items (weight in the
-    hundreds) parallelises even though [3 < min_chunk], while 7 unit
-    items stay inline.  [1] means: run the whole range inline on slot
-    0 — small regions then never pay the domain wake-up, which is what
-    keeps many tiny scenario spaces from making [jobs 4] slower than
-    [jobs 1].  Reductions joined over chunks are associative and
-    commutative in the analysis, so the slot count never changes
-    results (asserted by the identity tests and bench X9). *)
+    be split over: at least 1, at most [n], at most [jobs t] and at most
+    the host's recommended domain count — extra slots cannot run in
+    parallel and only pay dispatch.  Results are written at their index,
+    so the slot count never changes them (asserted by the identity
+    tests and bench X9). *)
 
 val run_ranges :
   ?steal:bool ->
-  ?min_block:int ->
   t ->
   slots:int ->
   n:int ->
@@ -95,13 +84,12 @@ val run_ranges :
     with the same [slot] run sequentially in one domain (so per-slot
     caches need no locks).  Slot [s]'s deque is seeded with the
     contiguous chunk [\[s·n/slots, (s+1)·n/slots)]; with [steal] (the
-    default) its owner claims halving blocks — never smaller than
-    [min_block] (default 1) — off the front, leaving the back
-    stealable, and a slot whose deque drains steals the back half of
-    the largest remaining deque, re-exposing the loot on its own deque
-    for further splitting.  Which slot executes which index therefore
-    depends on timing; results must be joined commutatively or written
-    at their index (see the determinism argument above).  With
+    default) its owner claims halving blocks off the front, leaving the
+    back stealable, and a slot whose deque drains steals the back half
+    of the largest remaining deque, re-exposing the loot on its own
+    deque for further splitting.  Which slot executes which index
+    therefore depends on timing; results must be written at their
+    index (see the determinism argument above).  With
     [steal = false] the geometry degenerates to exactly one static
     contiguous chunk per slot — the pre-stealing reference the
     determinism tests compare against.  The pool's {!stats} counters
@@ -132,29 +120,3 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!tabulate} over the elements of a list, preserving order. *)
-
-(** A lock-free join cell shared between the slots of a region.
-
-    The cell accumulates the join (e.g. a maximum) of every value
-    published to it.  The join must be associative, commutative and
-    idempotent on pure data (structural equality is used to cut idle
-    CAS retries) — then the cell's final content is a pure function of
-    the {e set} of published values, independent of scheduling.  The
-    branch-and-bound scenario enumeration ({!Analysis.Rta}) uses one to
-    share its running best across chunks: a stale read only prunes
-    less, so results stay bit-identical while the pruned work varies
-    with timing. *)
-module Cell : sig
-  type 'a t
-
-  val create : ('a -> 'a -> 'a) -> 'a -> 'a t
-  (** [create join init] — [init] must be the join identity (or a value
-      every published value absorbs monotonically). *)
-
-  val get : 'a t -> 'a
-  (** Current join of everything published so far. *)
-
-  val join : 'a t -> 'a -> unit
-  (** Publish a value: [get] afterwards is ≥ (in the join order) both
-      the previous content and the published value. *)
-end

@@ -109,8 +109,9 @@ let merged ms =
   a
 
 let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
-  [
-    ("workers", Json.Int workers);
+  let state =
+    [
+      ("workers", Json.Int workers);
       ( "requests",
         Json.Obj
           [
@@ -137,13 +138,6 @@ let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
             ("misses", Json.Int t.cache_misses);
             ("entries", Json.Int entries);
           ] );
-      ( "sessions",
-        Json.Obj
-          [
-            ("created", Json.Int t.sessions_created);
-            ("rebound", Json.Int t.sessions_rebound);
-            ("ir_warm", Json.Int t.ir_warm);
-          ] );
       ( "delta",
         Json.Obj
           [
@@ -159,6 +153,20 @@ let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
             ("seeded", Json.Int t.probe_seeded);
             ("cold", Json.Int t.probe_cold);
             ("certified", Json.Int t.probe_certified);
+          ] );
+    ]
+  in
+  (* Which worker slot served a request depends on timing (work
+     stealing), and so do the per-slot sessions and everything counted
+     on them. *)
+  let telemetry =
+    [
+      ( "sessions",
+        Json.Obj
+          [
+            ("created", Json.Int t.sessions_created);
+            ("rebound", Json.Int t.sessions_rebound);
+            ("ir_warm", Json.Int t.ir_warm);
           ] );
       ("kernel_sessions", Json.Int kernel_sessions);
       ("fallback_count", Json.Int fallback_count);
@@ -177,3 +185,5 @@ let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
             ("max", Json.Float t.latency_max_ms);
           ] );
     ]
+  in
+  [ ("state", Json.Obj state); ("telemetry", Json.Obj telemetry) ]

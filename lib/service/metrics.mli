@@ -72,13 +72,17 @@ val fields :
   fallback_count:int ->
   pool:Parallel.Pool.stats ->
   (string * Json.t) list
-(** The [stats] response body from ["workers"] through ["latency_ms"],
-    in the stable wire order; the caller prepends the response head and
-    the [admitted]/[hash] fields of the tenant being reported.
-    [entries] is the result-cache size, [kernel_sessions] the live
-    worker sessions currently running on the integer timeline kernel,
-    [fallback_count] the total kernel-overflow fallbacks those sessions
-    recorded, [pool] the pool's cumulative work-stealing counters (all
-    snapshots taken at the stats barrier, not counters of this
-    record).  Used both for the fleet aggregate and for each per-shard
-    object under sharding. *)
+(** The [stats] response body after the head, in the stable wire order:
+    a ["state"] object — ["workers"], request, commit, shed, cache,
+    delta and probe-ladder counters, a pure function of the request
+    stream — then a ["telemetry"] object — ["sessions"],
+    ["kernel_sessions"], ["fallback_count"], ["pool"], ["batches"],
+    ["latency_ms"] — whose values depend on timing and on the host.
+    The caller prepends the response head and the [admitted]/[hash]
+    fields of the tenant being reported.  [entries] is the result-cache
+    size, [kernel_sessions] the live worker sessions currently running
+    on the integer timeline kernel, [fallback_count] the total
+    kernel-overflow fallbacks those sessions recorded, [pool] the pool's
+    cumulative work-stealing counters (all snapshots taken at the stats
+    barrier, not counters of this record).  Used both for the fleet
+    aggregate and for each per-shard object under sharding. *)

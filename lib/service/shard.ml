@@ -483,11 +483,11 @@ let process_batch t envs =
         parallel_count := !parallel_count + m;
         let snaps = Array.map (fun i -> tens.(i).Tenant.store) idxs in
         (* One item is a whole analysis — orders of magnitude above the
-           pool's wake-up cost, hence the large weight: any group of two
-           or more parallelises.  Stealing rebalances the group when
+           pool's wake-up cost, so any group of two or more
+           parallelises.  Stealing rebalances the group when
            snapshots differ wildly in analysis cost; slot identity still
            routes each item to the session owned by its executor. *)
-        let slots = Parallel.Pool.slots_for ~weight:1024 t.pool m in
+        let slots = Parallel.Pool.slots_for t.pool m in
         Parallel.Pool.run_ranges t.pool ~steal:t.params.Analysis.Params.steal
           ~slots ~n:m (fun ~slot ~lo ~hi ->
             for k = lo to hi - 1 do
@@ -616,7 +616,7 @@ let process_batch t envs =
         let w = Array.length work in
         if w > 1 then begin
           parallel_count := !parallel_count + w;
-          let slots = Parallel.Pool.slots_for ~weight:1024 t.pool w in
+          let slots = Parallel.Pool.slots_for t.pool w in
           Parallel.Pool.run_ranges t.pool
             ~steal:t.params.Analysis.Params.steal ~slots ~n:w
             (fun ~slot ~lo ~hi ->

@@ -706,33 +706,68 @@ let runtime_fallback_model () =
         [ qtask "G2.t" (Q.make 1 1_048_576) (Q.make 1 1_048_576) 2 1 ];
     ]
 
+(* The overflow is raised inside a site's enumeration; on a 2-job pool
+   the sweep runs its sites as one parallel region, so the exception
+   crosses a worker domain and comes back through the pool before the
+   engine falls back. *)
 let test_kernel_runtime_fallback () =
   let m = runtime_fallback_model () in
-  let events = ref [] in
-  let counters = Rta.counters () in
-  let e =
-    Engine.create ~counters ~sink:(fun ev -> events := ev :: !events) m
-  in
-  Alcotest.(check bool) "kernel compiled" true (Engine.kernel_scale e <> None);
-  let report = Engine.analyze e in
-  Alcotest.(check int) "kernel entered once" 1 (Rta.kernel_runs counters);
-  Alcotest.(check int) "one overflow fallback" 1
-    (Rta.kernel_fallbacks counters);
-  Alcotest.(check bool) "overflow event" true
-    (List.exists
-       (function
-         | Engine.Kernel_fallback { reason } -> reason = "overflow"
-         | _ -> false)
-       !events);
-  Alcotest.(check bool) "session poisoned" true (Engine.kernel_scale e = None);
   let reference =
     Holistic.analyze ~params:{ P.default with P.int_kernel = false } m
   in
-  Alcotest.(check bool) "fallback report identical" true (report = reference);
-  (* a poisoned session goes straight to the rational path *)
-  Alcotest.(check bool) "rerun identical" true (Engine.analyze e = reference);
-  Alcotest.(check int) "kernel skipped after poison" 1
-    (Rta.kernel_runs counters)
+  List.iter
+    (fun jobs ->
+      Parallel.Pool.with_pool ~jobs @@ fun pool ->
+      let events = ref [] in
+      let counters = Rta.counters () in
+      let e =
+        Engine.create ~pool ~counters
+          ~sink:(fun ev -> events := ev :: !events)
+          m
+      in
+      Alcotest.(check bool) "kernel compiled" true (Engine.kernel_scale e <> None);
+      let report = Engine.analyze e in
+      Alcotest.(check int) "kernel entered once" 1 (Rta.kernel_runs counters);
+      Alcotest.(check int) "one overflow fallback" 1
+        (Rta.kernel_fallbacks counters);
+      Alcotest.(check bool) "overflow event" true
+        (List.exists
+           (function
+             | Engine.Kernel_fallback { reason } -> reason = "overflow"
+             | _ -> false)
+           !events);
+      Alcotest.(check bool) "session poisoned" true
+        (Engine.kernel_scale e = None);
+      Alcotest.(check bool) "fallback report identical" true (report = reference);
+      (* a poisoned session goes straight to the rational path *)
+      Alcotest.(check bool) "rerun identical" true (Engine.analyze e = reference);
+      Alcotest.(check int) "kernel skipped after poison" 1
+        (Rta.kernel_runs counters))
+    [ 1; 2 ]
+
+(* A scenario space beyond max_int cannot be indexed: exact analysis
+   names the site instead of dividing by a wrapped-around stride, and
+   the reduced variant, which never indexes the space, still runs. *)
+let test_scenario_space_overflow () =
+  let asm =
+    Workload.Gen.chain_assembly ~seed:2 ~n_chains:64 ~chain_length:3
+      ~cross_host:true ()
+  in
+  let sys =
+    match Transaction.Derive.derive asm with
+    | Ok sys -> sys
+    | Error es -> Alcotest.fail (String.concat "; " es)
+  in
+  let m = Model.of_system sys in
+  let ir = Analysis.Ir.compile m in
+  Alcotest.(check int) "saturated scenario count" max_int
+    (Analysis.Ir.exact_scenarios ir);
+  (match Engine.analyze (Engine.create ~params:P.exact m) with
+  | _ -> Alcotest.fail "exact analysis of an unindexable space returned"
+  | exception Analysis.Ir.Scenario_space_too_large { a; b } ->
+      Alcotest.(check bool) "names a real site" true
+        (a < Model.n_txns m && b < Model.n_tasks m a));
+  ignore (Engine.analyze (Engine.create ~params:P.default m))
 
 (* The tentpole identity: the scaled-int kernels reproduce the rational
    reports bit for bit — same bounds, history, sweep counts and verdict —
@@ -1050,6 +1085,56 @@ let seeded_identity_prop =
          in
          agrees P.exact && agrees P.default))
 
+(* Site-parallel sweeps do not depend on the schedule: every entry into
+   the outer fixed point — cold, delta and seeded warm starts — returns
+   the structurally same report at every job count, with the integer
+   kernel on or off. *)
+let sweep_schedule_identity_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:
+         "analyze, analyze_delta and analyze_seeded identical at jobs 1, 2 \
+          and 4, kernel on and off"
+       ~count:10
+       (QCheck.int_range 1 1000)
+       (fun seed ->
+         let spec =
+           {
+             Workload.Gen.default_spec with
+             Workload.Gen.n_txns = 5;
+             max_tasks_per_txn = 3;
+           }
+         in
+         let target = Model.of_system (Workload.Gen.system ~seed spec) in
+         QCheck.assume (scenario_total target < 20_000);
+         let next = List.hd (delta_perturbations target) in
+         let seed_model = dominating_seed target in
+         let reports base ~kernel ~jobs =
+           let params =
+             { base with P.keep_history = false; int_kernel = kernel }
+           in
+           let prev_report = Holistic.analyze ~params target in
+           let seed_report = Holistic.analyze ~params seed_model in
+           Parallel.Pool.with_pool ~jobs (fun pool ->
+               let e m = Engine.create ~params ~pool m in
+               ( Engine.analyze (e target),
+                 fst
+                   (Engine.analyze_delta (e next) ~prev_model:target
+                      ~prev_report),
+                 fst (Engine.analyze_seeded (e target) ~seed_model ~seed_report)
+               ))
+         in
+         List.for_all
+           (fun base ->
+             let reference = reports base ~kernel:false ~jobs:1 in
+             List.for_all
+               (fun kernel ->
+                 List.for_all
+                   (fun jobs -> reports base ~kernel ~jobs = reference)
+                   [ 1; 2; 4 ])
+               [ true; false ])
+           [ P.exact; P.default ]))
+
 let test_seeded_dominance () =
   let m = two_platform_model () in
   let s = dominating_seed m in
@@ -1216,6 +1301,8 @@ let () =
             test_kernel_unrepresentable;
           Alcotest.test_case "mid-analysis overflow falls back" `Quick
             test_kernel_runtime_fallback;
+          Alcotest.test_case "unindexable scenario space is named" `Quick
+            test_scenario_space_overflow;
         ] );
       ( "delta",
         [
@@ -1229,6 +1316,7 @@ let () =
       ( "seeded",
         [
           seeded_identity_prop;
+          sweep_schedule_identity_prop;
           Alcotest.test_case "dominance order" `Quick test_seeded_dominance;
           Alcotest.test_case "non-dominating seed runs cold" `Quick
             test_seeded_rejects_non_dominating;

@@ -226,12 +226,19 @@ let int_field name j =
   | Some n -> n
   | None -> Alcotest.failf "missing %S in %s" name (Json.to_string j)
 
+(* A stats response keeps its deterministic counters under "state" and
+   the timing-dependent ones under "telemetry". *)
+let section name j =
+  match Json.member name j with
+  | Some (Json.Obj _ as o) -> o
+  | _ -> Alcotest.failf "missing object %S in %s" name (Json.to_string j)
+
 let test_stats_kernel_fields () =
   with_server ~workers:2 @@ fun srv ->
   (* Before any analysis ran, no worker session exists yet. *)
   let s0 = Server.handle srv P.Stats in
-  Alcotest.(check int) "no sessions yet" 0 (int_field "kernel_sessions" s0);
-  Alcotest.(check int) "no fallbacks yet" 0 (int_field "fallback_count" s0);
+  Alcotest.(check int) "no sessions yet" 0 (int_field "kernel_sessions" (section "telemetry" s0));
+  Alcotest.(check int) "no fallbacks yet" 0 (int_field "fallback_count" (section "telemetry" s0));
   ignore (Server.handle srv (P.Admit { uid = "a"; spec = unit_spec 1 }));
   ignore (Server.handle srv P.Query);
   let s1 = Server.handle srv P.Stats in
@@ -240,8 +247,8 @@ let test_stats_kernel_fields () =
      an engaged kernel with no overflow fallback. *)
   Alcotest.(check bool)
     "kernel engaged" true
-    (int_field "kernel_sessions" s1 >= 1);
-  Alcotest.(check int) "no fallbacks" 0 (int_field "fallback_count" s1)
+    (int_field "kernel_sessions" (section "telemetry" s1) >= 1);
+  Alcotest.(check int) "no fallbacks" 0 (int_field "fallback_count" (section "telemetry" s1))
 
 (* --- qcheck: what_if probes never mutate the store --- *)
 
@@ -515,7 +522,7 @@ let test_stats_shard_map () =
     (Server.handle srv ~tenant:"globex"
        (P.Admit { uid = "u"; spec = unit_spec 2 }));
   let s = Server.handle srv P.Stats in
-  Alcotest.(check int) "workers summed across shards" 2 (int_field "workers" s);
+  Alcotest.(check int) "workers summed across shards" 2 (int_field "workers" (section "state" s));
   (match Json.member "shards" s with
   | Some (Json.List l) -> Alcotest.(check int) "per-shard records" 2 (List.length l)
   | _ -> Alcotest.fail "stats lacks the shards array");
