@@ -9,7 +9,8 @@
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- list    (section names)
              dune exec bench/main.exe -- <name>  (one section)
-   --out FILE redirects the JSON summary (default BENCH_analysis.json). *)
+   --out FILE redirects the JSON summary (default BENCH_analysis.json);
+   each run merges its checks and metrics into the file by key. *)
 
 module Q = Rational
 module LB = Platform.Linear_bound
@@ -50,30 +51,75 @@ let check name ok =
 
 let metric name v = metrics := (name, v) :: !metrics
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The checks and metrics an earlier run left in [path], so a run of a
+   few sections refreshes their entries and keeps every other
+   section's.  A file that is missing yields nothing; one that does not
+   parse, or whose sections are not objects of booleans and numbers, is
+   reported and replaced whole — never half-merged. *)
+let previous_entries path =
+  let module J = Service.Json in
+  let unreadable why =
+    Format.printf "%s: %s; replacing it with this run alone@." path why;
+    ([], [])
+  in
+  let section doc name value =
+    match J.member name doc with
+    | Some (J.Obj kvs) ->
+        List.fold_right
+          (fun (k, v) acc ->
+            match (acc, value v) with
+            | Some acc, Some v -> Some ((k, v) :: acc)
+            | _ -> None)
+          kvs (Some [])
+    | _ -> None
+  in
+  if not (Sys.file_exists path) then ([], [])
+  else
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Error e -> unreadable e
+    | Ok doc -> (
+        match
+          ( section doc "checks" (function J.Bool b -> Some b | _ -> None),
+            section doc "metrics" (function
+              | J.Int i -> Some (float_of_int i)
+              | J.Float f -> Some f
+              | J.Null -> Some Float.nan
+              | _ -> None) )
+        with
+        | Some checks, Some metrics -> (checks, metrics)
+        | _ ->
+            unreadable
+              "checks and metrics are not objects of booleans and numbers")
+
+(* [old] in its order with this run's values where keys coincide, then
+   the keys this run added, in the order it recorded them. *)
+let merge old fresh =
+  List.map
+    (fun (k, v) -> (k, Option.value (List.assoc_opt k fresh) ~default:v))
+    old
+  @ List.filter (fun (k, _) -> not (List.mem_assoc k old)) fresh
 
 let write_json path =
+  let old_checks, old_metrics = previous_entries path in
+  let field render (k, v) =
+    Printf.sprintf "    \"%s\": %s" (Service.Json.escape k) (render v)
+  in
+  let obj render entries =
+    String.concat ",\n" (List.map (field render) entries)
+  in
   let oc = open_out path in
-  let field (k, v) = Printf.sprintf "    \"%s\": %s" (json_escape k) v in
-  let obj entries = String.concat ",\n" (List.map field entries) in
   Printf.fprintf oc
-    "{\n  \"quick\": %b,\n  \"checks\": {\n%s\n  },\n  \"metrics\": {\n%s\n  }\n}\n"
+    "{\n\
+    \  \"host\": {\"cores\": %d, \"ocaml\": \"%s\", \"quick\": %b},\n\
+    \  \"checks\": {\n%s\n  },\n\
+    \  \"metrics\": {\n%s\n  }\n}\n"
+    (Domain.recommended_domain_count ())
+    (Service.Json.escape Sys.ocaml_version)
     !quick
-    (obj (List.rev_map (fun (k, ok) -> (k, string_of_bool ok)) !checks))
+    (obj string_of_bool (merge old_checks (List.rev !checks)))
     (obj
-       (List.rev_map
-          (fun (k, v) ->
-            (k, if Float.is_nan v then "null" else Printf.sprintf "%.3f" v))
-          !metrics));
+       (fun v -> if Float.is_nan v then "null" else Printf.sprintf "%.3f" v)
+       (merge old_metrics (List.rev !metrics)));
   close_out oc
 
 (* ------------------------------------------------------------------ *)

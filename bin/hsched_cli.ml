@@ -266,10 +266,7 @@ let analyze_cmd =
       let sink = engine_sink writer in
       try Analysis.Engine.analyze (Analysis.Engine.create ~params ~pool ?sink m)
       with Analysis.Ir.Scenario_space_too_large { a; b } ->
-        Printf.eprintf
-          "hsched: task %s has more than %d exact scenarios, too many to \
-           enumerate; analyze without --exact for the reduced bound\n"
-          (Analysis.Model.task m a b).Analysis.Model.name max_int;
+        Printf.eprintf "hsched: %s\n" (Analysis.Ir.too_large_message m ~a ~b);
         exit 1
     in
     let names a b = (Analysis.Model.task m a b).Analysis.Model.name in

@@ -14,6 +14,5 @@ module Memo = Memo
 module Rta = Rta
 module Best_case = Best_case
 module Engine = Engine
-module Holistic = Holistic
 module Classical = Classical
 module Edf = Edf

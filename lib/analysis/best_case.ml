@@ -27,8 +27,9 @@ let simple_int (tb : Timebase.t) =
       let acc = ref 0 in
       Array.mapi
         (fun b _ ->
-          acc :=
-            Q.Checked.(!acc + Stdlib.max 0 (tb.Timebase.scb.(a).(b) - tb.Timebase.sbeta.(a).(b)));
+          let scb = tb.Timebase.scb.(a).(b)
+          and sbeta = tb.Timebase.sbeta.(a).(b) in
+          acc := Q.Checked.(!acc + Stdlib.max 0 (scb - sbeta));
           !acc)
         row)
     tb.Timebase.scb
@@ -50,7 +51,8 @@ let refined_int m (tb : Timebase.t) ~sjit =
                 Stdlib.max 0
                   (Interference.iceil_div Q.Checked.(r - sjit.(i).(j)) ti - 1)
               in
-              demand := Q.Checked.(!demand + (arrivals * tb.Timebase.scb.(i).(j))))
+              demand :=
+                Q.Checked.(!demand + (arrivals * tb.Timebase.scb.(i).(j))))
             (Interference.hp m ~i ~a ~b)
         done;
         Stdlib.max 0 Q.Checked.(!demand - sbeta)

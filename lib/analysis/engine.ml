@@ -80,10 +80,8 @@ type t = {
 
 let emit t e = match t.sink with None -> () | Some f -> f e
 
-let memo_for model params pool =
-  if params.Params.memoize then
-    Some (Memo.create model ~slots:(Parallel.Pool.jobs pool))
-  else None
+let memo_for model params =
+  if params.Params.memoize then Some (Memo.create model) else None
 
 let timebase_for model params =
   if params.Params.int_kernel then
@@ -111,7 +109,7 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
       params;
       pool;
       counters;
-      memo = memo_for m params pool;
+      memo = memo_for m params;
       sink;
       timebase;
       kernels = kernels_for m ir timebase;
@@ -153,16 +151,12 @@ let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
   let pool = Option.value pool ~default:t.pool in
   let counters = Option.value counters ~default:t.counters in
   let sink = match sink with Some _ as s -> s | None -> t.sink in
-  (* The memo partitions one cache per pool slot; reuse it only while
-     that partitioning is still the pool's.  Cached values depend on
-     the model alone (identical here), never on params, so carrying
-     them across an override is transparent. *)
+  (* Cached values depend on the model alone (identical here), never on
+     params or the pool, so carrying the memo across an override is
+     transparent. *)
   let memo =
     if not params.Params.memoize then None
-    else
-      match t.memo with
-      | Some memo when Memo.slots memo = Parallel.Pool.jobs pool -> Some memo
-      | Some _ | None -> memo_for t.model params pool
+    else match t.memo with Some _ as m -> m | None -> memo_for t.model params
   in
   (* The timebase depends on the model and on the scaled horizon only;
      keep it — and the poison verdict, which is a property of the same
@@ -176,7 +170,17 @@ let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
       let timebase = timebase_for t.model params in
       (timebase, kernels_for t.model t.ir timebase, ref false)
   in
-  { t with params; pool; counters; sink; memo; timebase; kernels; kernel_poisoned }
+  {
+    t with
+    params;
+    pool;
+    counters;
+    sink;
+    memo;
+    timebase;
+    kernels;
+    kernel_poisoned;
+  }
 
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
@@ -193,7 +197,7 @@ let with_model t m =
     t with
     ir;
     model = m;
-    memo = memo_for m t.params t.pool;
+    memo = memo_for m t.params;
     timebase;
     kernels = kernels_for m ir timebase;
     kernel_poisoned = ref false;
@@ -221,54 +225,163 @@ let response_time t ~phi ~jit ~a ~b =
 
 let copy_matrix m = Array.map Array.copy m
 
-let offsets_of m rbest =
+let offsets_of m zero rbest =
   Array.mapi
     (fun a (tx : Model.txn) ->
       Array.mapi
-        (fun b (_ : Model.task) -> if b = 0 then Q.zero else rbest.(a).(b - 1))
+        (fun b (_ : Model.task) -> if b = 0 then zero else rbest.(a).(b - 1))
         tx.Model.tasks)
     m.Model.txns
 
-let rows_equal a b =
+let rows_equal equal a b =
   Array.length a = Array.length b
   &&
   let ok = ref true in
-  Array.iteri (fun i x -> if not (Q.equal x b.(i)) then ok := false) a;
+  Array.iteri (fun i x -> if not (equal x b.(i)) then ok := false) a;
   !ok
 
-(* A warm start, planned by [Delta] from a previous converged report:
-   the sweep begins from the seeded jitter matrix instead of the bottom,
-   with the clean transactions' rows pinned at their converged values
-   and their responses carried from [w_resp].  [w_dirty] must be closed
-   under the IR's dependency rows (Ir.dirty_closure) — that is what
-   makes the pinning exact, see docs/INCREMENTAL.md. *)
-type warm = {
-  w_dirty : bool array;  (* per transaction, transitively closed *)
-  w_jit : Q.t array array;  (* seed jitters: previous values on clean
-                               rows, the cold bottom on dirty ones *)
-  w_resp : Report.bound array array;
-      (* previous responses; only clean rows are ever read *)
+(* The number type the outer fixed point runs on: exact rationals
+   (['v = Q.t], ['r = Report.bound]) or the session's scaled-integer
+   lattice (['v = int], ['r = Rta.iresponse], see Timebase).  Every
+   integer operation is the exact image of the rational one under
+   v ↦ v·scale, so [fixed_point] takes the same sweeps, convergence
+   decisions and early exits on either timeline and reports the same
+   rationals.  On the integer timeline value arithmetic goes through
+   [Q.Checked], so an overflow anywhere — including inside a worker
+   domain, which the pool re-raises in the caller — surfaces as
+   [Q.Overflow] for [dispatch] to catch. *)
+type ('v, 'r) timeline = {
+  zero : 'v;
+  release_jitter : int -> 'v;  (* row 0 of transaction [a]'s jitters *)
+  jitter_of : 'r -> 'v -> 'v option;
+      (* [max 0 (r − rbest)], [None] when [r] diverged *)
+  equal : 'v -> 'v -> bool;
+  meets : int -> 'r -> bool;  (* transaction [a]'s deadline test *)
+  divergent : 'r;
+  to_q : 'v -> Q.t;
+  to_bound : 'r -> Report.bound;
+  of_q : floor:bool -> Q.t -> 'v;
+  of_bound : Report.bound -> 'r;
+  best : jit:'v array array -> 'v array array;
+  compute : Ir.site -> phi:'v array array -> jit:'v array array -> 'r;
 }
 
-(* The scaled-integer image of a warm start, for [analyze_int]. *)
-type iwarm = {
-  iw_dirty : bool array;
-  iw_jit : int array array;
-  iw_resp : Rta.iresponse array array;
+let rational t =
+  let m = t.model in
+  {
+    zero = Q.zero;
+    release_jitter = (fun a -> m.Model.release_jitter.(a));
+    jitter_of =
+      (fun r rb ->
+        match r with
+        | Report.Divergent -> None
+        | Report.Finite r -> Some (Q.max Q.zero Q.(r - rb)));
+    equal = Q.equal;
+    meets = (fun a r -> Report.bound_le r m.Model.txns.(a).Model.deadline);
+    divergent = Report.Divergent;
+    to_q = Fun.id;
+    to_bound = Fun.id;
+    of_q = (fun ~floor:_ q -> q);
+    of_bound = Fun.id;
+    best = (fun ~jit -> best_case t ~jit);
+    compute =
+      (fun site ~phi ~jit ->
+        Rta.response_time_site ?memo:t.memo ~counters:t.counters site m
+          t.params ~phi ~jit);
+  }
+
+let scaled t tb =
+  let scale = Timebase.scale tb in
+  {
+    zero = 0;
+    release_jitter = (fun a -> tb.Timebase.srelease_jitter.(a));
+    jitter_of =
+      (fun r rb ->
+        match r with
+        | Rta.IDivergent -> None
+        | Rta.IFinite r -> Some (Stdlib.max 0 (Q.Checked.( - ) r rb)));
+    equal = Int.equal;
+    meets =
+      (fun a -> function
+        | Rta.IDivergent -> false
+        | Rta.IFinite v -> v <= tb.Timebase.sdeadline.(a));
+    divergent = Rta.IDivergent;
+    to_q = Timebase.to_q tb;
+    to_bound = Rta.iresponse_to_bound tb;
+    of_q =
+      (fun ~floor q ->
+        if floor then Q.floor Q.(q * of_int scale) else Q.to_scaled ~scale q);
+    of_bound =
+      (function
+      | Report.Finite r -> Rta.IFinite (Q.to_scaled ~scale r)
+      | Report.Divergent -> Rta.IDivergent);
+    best =
+      (match t.params.Params.best_case with
+      | Params.Simple -> fun ~jit:_ -> Best_case.simple_int tb
+      | Params.Refined ->
+          fun ~jit -> Best_case.refined_int t.model tb ~sjit:jit);
+    compute =
+      (fun site ~phi ~jit ->
+        Rta.response_time_site_int tb ?memo:t.memo ~counters:t.counters
+          ?kernels:
+            (Option.map
+               (fun kt -> Kernels.site kt ~a:site.Ir.a ~b:site.Ir.b)
+               t.kernels)
+          site t.params ~sphi:phi ~sjit:jit);
+  }
+
+(* A warm start, planned by [Delta] or [Seeded] from a previous
+   converged report: the sweep begins from the seeded jitter matrix
+   instead of the bottom.  Clean (pinned) transactions hold their
+   converged rows and carry their responses from [w_resp]; dirty (free)
+   ones are iterated.  [w_dirty] must be closed under the IR's
+   dependency rows (Ir.dirty_closure) — that is what makes the pinning
+   exact, see docs/INCREMENTAL.md.  Plans build it on rationals; [start]
+   moves it onto a timeline. *)
+type ('v, 'r) warm = {
+  w_dirty : bool array;  (* per transaction, transitively closed *)
+  w_jit : 'v array array;
+  w_resp : 'r array array;  (* only clean rows are ever read *)
 }
+
+(* The one lattice rule for warm starts.  A warm report may come from
+   another timebase, another parameter point or the rational path, so
+   its values need not lie on this timeline's lattice.  Pinned rows are
+   read as they are: they must convert exactly, and an off-lattice
+   value raises [Q.Overflow] so the start runs on rationals instead
+   (bit-identical, and the kernel stays unpoisoned for later calls).
+   Free rows are only a Kleene seed below the least fixed point:
+   rounding their jitters *down* keeps them below it, and their
+   responses, never read, start divergent.  A delta plan's free rows
+   sit at the cold bottom, which is on the lattice; a seeded plan's
+   rows are all free. *)
+let start tl w =
+  {
+    w_dirty = w.w_dirty;
+    w_jit =
+      Array.mapi
+        (fun a row -> Array.map (tl.of_q ~floor:w.w_dirty.(a)) row)
+        w.w_jit;
+    w_resp =
+      Array.mapi
+        (fun a row ->
+          if w.w_dirty.(a) then Array.map (fun _ -> tl.divergent) row
+          else Array.map tl.of_bound row)
+        w.w_resp;
+  }
 
 (* One Jacobi sweep.  With [incremental], a site none of whose
    dependency rows — precompiled in the IR — is [changed] since the
    previous sweep carries its response from [prev]: the response is a
    pure function of those rows, so the carried value is bit-identical
    to a recomputation (the qcheck identity properties assert this).
-   The other sites run as one pool region, [compute ~slot site] writing
-   each response at its own index.  A sweep reads only the previous
-   sweep's rows, so the result does not depend on which slot runs which
-   site; [slot] only routes a site to that slot's memo cache, which
-   keeps every cache single-owner.  Site costs vary by orders of
-   magnitude (1 to hundreds of scenarios), hence stealing.  Returns the
-   responses and the recomputed count. *)
+   The other sites run as one pool region, [compute site] writing each
+   response at its own index.  A sweep reads only the previous sweep's
+   rows, so the result does not depend on which slot runs which site,
+   and each site runs on one domain, so its memo cache stays
+   single-owner.  Site costs vary by orders of magnitude (1 to hundreds
+   of scenarios), hence stealing.  Returns the responses and the
+   recomputed count. *)
 let sweep t ~prev ~changed ~bottom ~compute =
   let sites = Ir.sites t.ir in
   let resp, carries =
@@ -301,32 +414,26 @@ let sweep t ~prev ~changed ~bottom ~compute =
   Parallel.Pool.run_ranges t.pool ~steal:t.params.Params.steal
     ~slots:(Parallel.Pool.slots_for t.pool n)
     ~n
-    (fun ~slot ~lo ~hi ->
+    (fun ~slot:_ ~lo ~hi ->
       for k = lo to hi - 1 do
         let site = sites.(todo.(k)) in
-        resp.(site.Ir.a).(site.Ir.b) <- compute ~slot site
+        resp.(site.Ir.a).(site.Ir.b) <- compute site
       done);
   (resp, n)
 
-let analyze_rational t ~warm =
+let fixed_point t tl ~warm =
   let m = t.model and params = t.params in
   emit t (Analysis_started { variant = params.Params.variant });
   let n = Model.n_txns m in
-  let zero_matrix () =
-    Array.init n (fun a -> Array.make (Model.n_tasks m a) Q.zero)
+  let bottom_jitters () =
+    Array.init n (fun a ->
+        let row = Array.make (Model.n_tasks m a) tl.zero in
+        row.(0) <- tl.release_jitter a;
+        row)
   in
-  let jit =
-    match warm with
-    | Some w -> copy_matrix w.w_jit
-    | None ->
-        let jit = zero_matrix () in
-        for a = 0 to n - 1 do
-          jit.(a).(0) <- m.Model.release_jitter.(a)
-        done;
-        jit
-  in
-  let rbest = ref (best_case t ~jit) in
-  let phi = ref (offsets_of m !rbest) in
+  let jit = match warm with Some w -> w.w_jit | None -> bottom_jitters () in
+  let rbest = ref (tl.best ~jit) in
+  let phi = ref (offsets_of m tl.zero !rbest) in
   (* Rows whose values changed in the latest jitter/offset update; all
      dirty before the first sweep so every task is computed once.  A
      warm start instead seeds exactly its dirty frontier: clean rows
@@ -339,9 +446,9 @@ let analyze_rational t ~warm =
     match warm with Some w -> Array.copy w.w_dirty | None -> Array.make n true
   in
   let phi_dirty = Array.make n (Option.is_none warm) in
-  let prev = ref (Option.map (fun w -> copy_matrix w.w_resp) warm) in
+  let prev = ref (Option.map (fun w -> w.w_resp) warm) in
   let history = ref [] in
-  let responses = ref (Array.map (Array.map (fun _ -> Report.Divergent)) jit) in
+  let responses = ref (Array.map (Array.map (fun _ -> tl.divergent)) jit) in
   let diverged = ref false in
   let converged = ref false in
   let iterations = ref 0 in
@@ -352,10 +459,8 @@ let analyze_rational t ~warm =
     incr iterations;
     let changed i = jit_dirty.(i) || phi_dirty.(i) in
     let resp, recomputed =
-      sweep t ~prev:!prev ~changed ~bottom:Report.Divergent
-        ~compute:(fun ~slot site ->
-          Rta.response_time_site ~slot ?memo:t.memo ~counters:t.counters
-            site m params ~phi:!phi ~jit)
+      sweep t ~prev:!prev ~changed ~bottom:tl.divergent ~compute:(fun site ->
+          tl.compute site ~phi:!phi ~jit)
     in
     let carried = Ir.n_tasks t.ir - recomputed in
     emit t (Sweep { iteration = !iterations; recomputed; carried });
@@ -363,7 +468,11 @@ let analyze_rational t ~warm =
     responses := resp;
     if params.Params.keep_history then
       history :=
-        { Report.jitters = copy_matrix jit; responses = resp } :: !history;
+        {
+          Report.jitters = Array.map (Array.map tl.to_q) jit;
+          responses = Array.map (Array.map tl.to_bound) resp;
+        }
+        :: !history;
     (* With the Simple best case the offsets are constant and the
        responses are monotone across iterations, so a transaction already
        past its deadline settles the verdict: stop early unless asked for
@@ -373,23 +482,19 @@ let analyze_rational t ~warm =
     then begin
       let hopeless = ref false in
       for a = 0 to n - 1 do
-        let last = Model.n_tasks m a - 1 in
-        if not (Report.bound_le resp.(a).(last) m.Model.txns.(a).Model.deadline)
-        then hopeless := true
+        if not (tl.meets a resp.(a).(Model.n_tasks m a - 1)) then
+          hopeless := true
       done;
       if !hopeless then diverged := true
     end;
     (* Next jitters, Jacobi-style from this iteration's responses. *)
-    let next = zero_matrix () in
+    let next = bottom_jitters () in
     (try
        for a = 0 to n - 1 do
-         next.(a).(0) <- m.Model.release_jitter.(a);
          for b = 1 to Model.n_tasks m a - 1 do
-           match resp.(a).(b - 1) with
-           | Report.Divergent -> raise Exit
-           | Report.Finite r ->
-               let rb = !rbest.(a).(b - 1) in
-               next.(a).(b) <- Q.max Q.zero Q.(r - rb)
+           match tl.jitter_of resp.(a).(b - 1) !rbest.(a).(b - 1) with
+           | None -> raise Exit
+           | Some j -> next.(a).(b) <- j
          done
        done
      with Exit -> diverged := true);
@@ -399,7 +504,7 @@ let analyze_rational t ~warm =
       let same = ref true in
       for a = 0 to n - 1 do
         for b = 0 to Model.n_tasks m a - 1 do
-          if not (Q.equal next.(a).(b) jit.(a).(b)) then begin
+          if not (tl.equal next.(a).(b) jit.(a).(b)) then begin
             same := false;
             jit_dirty.(a) <- true
           end
@@ -414,10 +519,11 @@ let analyze_rational t ~warm =
            the offsets it seeds. *)
         if params.Params.best_case = Params.Refined then begin
           let old_phi = !phi in
-          rbest := best_case t ~jit;
-          phi := offsets_of m !rbest;
+          rbest := tl.best ~jit;
+          phi := offsets_of m tl.zero !rbest;
           for i = 0 to n - 1 do
-            if not (rows_equal old_phi.(i) !phi.(i)) then phi_dirty.(i) <- true
+            if not (rows_equal tl.equal old_phi.(i) !phi.(i)) then
+              phi_dirty.(i) <- true
           done
         end
       end
@@ -427,20 +533,21 @@ let analyze_rational t ~warm =
     Array.init n (fun a ->
         Array.init (Model.n_tasks m a) (fun b ->
             {
-              Report.offset = !phi.(a).(b);
-              jitter = jit.(a).(b);
-              rbest = !rbest.(a).(b);
-              response = !responses.(a).(b);
+              Report.offset = tl.to_q !phi.(a).(b);
+              jitter = tl.to_q jit.(a).(b);
+              rbest = tl.to_q !rbest.(a).(b);
+              response = tl.to_bound !responses.(a).(b);
             }))
   in
   let schedulable =
     !converged
-    && Array.to_list m.Model.txns
-       |> List.mapi (fun a tx -> (a, tx))
-       |> List.for_all (fun (a, (tx : Model.txn)) ->
-              Report.bound_le
-                !responses.(a).(Array.length tx.Model.tasks - 1)
-                tx.Model.deadline)
+    &&
+    let ok = ref true in
+    for a = 0 to n - 1 do
+      if not (tl.meets a !responses.(a).(Model.n_tasks m a - 1)) then
+        ok := false
+    done;
+    !ok
   in
   emit t
     (Finished { iterations = !iterations; converged = !converged; schedulable });
@@ -452,200 +559,21 @@ let analyze_rational t ~warm =
     schedulable;
   }
 
-(* The same outer fixed point on the scaled integer timeline.  Every
-   step is the exact image of the rational step under v ↦ v·scale (see
-   Timebase), so sweep counts, convergence, early exits and the final
-   report are bit-identical; rationals appear only at the report and
-   history boundaries.  Value arithmetic goes through [Q.Checked], so an
-   overflow anywhere — including inside a worker domain, which the pool
-   re-raises in the caller — surfaces as [Q.Overflow] for [analyze] to
-   catch. *)
-let analyze_int t tb ~warm =
-  let m = t.model and params = t.params in
-  emit t (Analysis_started { variant = params.Params.variant });
-  let n = Model.n_txns m in
-  let zero_matrix () =
-    Array.init n (fun a -> Array.make (Model.n_tasks m a) 0)
+(* Run the fixed point on the session's integer timeline when it has
+   one and no earlier run poisoned it, on rationals otherwise. *)
+let dispatch t warm =
+  let on_rationals () =
+    let tl = rational t in
+    fixed_point t tl ~warm:(Option.map (start tl) warm)
   in
-  let best_case_int ~sjit =
-    match params.Params.best_case with
-    | Params.Simple -> Best_case.simple_int tb
-    | Params.Refined -> Best_case.refined_int m tb ~sjit
-  in
-  let offsets_of_int rbest =
-    Array.mapi
-      (fun a (tx : Model.txn) ->
-        Array.mapi
-          (fun b (_ : Model.task) -> if b = 0 then 0 else rbest.(a).(b - 1))
-          tx.Model.tasks)
-      m.Model.txns
-  in
-  let jit =
-    match warm with
-    | Some w -> copy_matrix w.iw_jit
-    | None ->
-        let jit = zero_matrix () in
-        for a = 0 to n - 1 do
-          jit.(a).(0) <- tb.Timebase.srelease_jitter.(a)
-        done;
-        jit
-  in
-  let rbest = ref (best_case_int ~sjit:jit) in
-  let phi = ref (offsets_of_int !rbest) in
-  let jit_dirty =
-    match warm with Some w -> Array.copy w.iw_dirty | None -> Array.make n true
-  in
-  let phi_dirty = Array.make n (Option.is_none warm) in
-  let prev = ref (Option.map (fun w -> copy_matrix w.iw_resp) warm) in
-  let history = ref [] in
-  let responses =
-    ref (Array.map (Array.map (fun _ -> Rta.IDivergent)) jit)
-  in
-  let diverged = ref false in
-  let converged = ref false in
-  let iterations = ref 0 in
-  while
-    (not !converged) && (not !diverged)
-    && !iterations < params.Params.max_outer_iterations
-  do
-    incr iterations;
-    let changed i = jit_dirty.(i) || phi_dirty.(i) in
-    let resp, recomputed =
-      sweep t ~prev:!prev ~changed ~bottom:Rta.IDivergent
-        ~compute:(fun ~slot (site : Ir.site) ->
-          Rta.response_time_site_int tb ~slot ?memo:t.memo
-            ~counters:t.counters
-            ?kernels:
-              (Option.map
-                 (fun kt -> Kernels.site kt ~a:site.Ir.a ~b:site.Ir.b)
-                 t.kernels)
-            site params ~sphi:!phi ~sjit:jit)
-    in
-    let carried = Ir.n_tasks t.ir - recomputed in
-    emit t (Sweep { iteration = !iterations; recomputed; carried });
-    prev := Some resp;
-    responses := resp;
-    if params.Params.keep_history then
-      history :=
-        {
-          Report.jitters = Array.map (Array.map (Timebase.to_q tb)) jit;
-          responses = Array.map (Array.map (Rta.iresponse_to_bound tb)) resp;
-        }
-        :: !history;
-    if params.Params.early_exit && params.Params.best_case = Params.Simple
-    then begin
-      let hopeless = ref false in
-      for a = 0 to n - 1 do
-        let last = Model.n_tasks m a - 1 in
-        (match resp.(a).(last) with
-        | Rta.IDivergent -> hopeless := true
-        | Rta.IFinite v -> if v > tb.Timebase.sdeadline.(a) then hopeless := true)
-      done;
-      if !hopeless then diverged := true
-    end;
-    let next = zero_matrix () in
-    (try
-       for a = 0 to n - 1 do
-         next.(a).(0) <- tb.Timebase.srelease_jitter.(a);
-         for b = 1 to Model.n_tasks m a - 1 do
-           match resp.(a).(b - 1) with
-           | Rta.IDivergent -> raise Exit
-           | Rta.IFinite r ->
-               let rb = !rbest.(a).(b - 1) in
-               next.(a).(b) <- Stdlib.max 0 (Q.Checked.( - ) r rb)
-         done
-       done
-     with Exit -> diverged := true);
-    if not !diverged then begin
-      Array.fill jit_dirty 0 n false;
-      Array.fill phi_dirty 0 n false;
-      let same = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to Model.n_tasks m a - 1 do
-          if next.(a).(b) <> jit.(a).(b) then begin
-            same := false;
-            jit_dirty.(a) <- true
-          end
-        done
-      done;
-      if !same then converged := true
-      else begin
-        Array.iteri
-          (fun a row -> Array.blit row 0 jit.(a) 0 (Array.length row))
-          next;
-        if params.Params.best_case = Params.Refined then begin
-          let old_phi = !phi in
-          rbest := best_case_int ~sjit:jit;
-          phi := offsets_of_int !rbest;
-          for i = 0 to n - 1 do
-            if old_phi.(i) <> !phi.(i) then phi_dirty.(i) <- true
-          done
-        end
-      end
-    end
-  done;
-  let results =
-    Array.init n (fun a ->
-        Array.init (Model.n_tasks m a) (fun b ->
-            {
-              Report.offset = Timebase.to_q tb !phi.(a).(b);
-              jitter = Timebase.to_q tb jit.(a).(b);
-              rbest = Timebase.to_q tb !rbest.(a).(b);
-              response = Rta.iresponse_to_bound tb !responses.(a).(b);
-            }))
-  in
-  let schedulable =
-    !converged
-    && Array.to_list m.Model.txns
-       |> List.mapi (fun a (_ : Model.txn) -> a)
-       |> List.for_all (fun a ->
-              match !responses.(a).(Model.n_tasks m a - 1) with
-              | Rta.IDivergent -> false
-              | Rta.IFinite v -> v <= tb.Timebase.sdeadline.(a))
-  in
-  emit t
-    (Finished { iterations = !iterations; converged = !converged; schedulable });
-  {
-    Report.results;
-    history = List.rev !history;
-    outer_iterations = !iterations;
-    converged = !converged;
-    schedulable;
-  }
-
-(* The warm matrices were produced by a previous analysis — possibly on
-   a different timebase, or on the rational path — so they need not lie
-   on this session's scaled-integer lattice.  Off-lattice values raise
-   [Q.Overflow] in [to_scaled]; the warm start then runs on the
-   rational path (the report is bit-identical either way) without
-   poisoning the kernel for later cold calls. *)
-let iwarm_of tb w =
-  let scale = Timebase.scale tb in
-  try
-    Some
-      {
-        iw_dirty = w.w_dirty;
-        iw_jit = Array.map (Array.map (Q.to_scaled ~scale)) w.w_jit;
-        iw_resp =
-          Array.map
-            (Array.map (function
-              | Report.Finite r -> Rta.IFinite (Q.to_scaled ~scale r)
-              | Report.Divergent -> Rta.IDivergent))
-            w.w_resp;
-      }
-  with Q.Overflow -> None
-
-let analyze_dispatch t warm =
   match t.timebase with
   | Some tb when not !(t.kernel_poisoned) -> (
-      let iwarm = match warm with None -> Some None | Some w -> (
-          match iwarm_of tb w with Some iw -> Some (Some iw) | None -> None)
-      in
-      match iwarm with
-      | None -> analyze_rational t ~warm
-      | Some iwarm -> (
+      let tl = scaled t tb in
+      match Option.map (start tl) warm with
+      | exception Q.Overflow -> on_rationals ()
+      | warm -> (
           Rta.record_kernel_run t.counters;
-          try analyze_int t tb ~warm:iwarm
+          try fixed_point t tl ~warm
           with Q.Overflow ->
             (* Scaled arithmetic left the native range mid-analysis; the
                rational path cannot (its local denominators stay small),
@@ -654,15 +582,15 @@ let analyze_dispatch t warm =
             Rta.record_kernel_fallback t.counters;
             t.kernel_poisoned := true;
             emit t (Kernel_fallback { reason = "overflow" });
-            analyze_rational t ~warm))
-  | _ -> analyze_rational t ~warm
+            on_rationals ()))
+  | _ -> on_rationals ()
 
 (* Wrap every full analysis with the pool's scheduler accounting: the
    counter deltas over the run are emitted as one [Pool_stats] event
    when the work-stealing machinery engaged at all. *)
-let with_pool_stats t run =
+let analyze_with t warm =
   let before = Parallel.Pool.stats t.pool in
-  let report = run () in
+  let report = dispatch t warm in
   let after = Parallel.Pool.stats t.pool in
   let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
   and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
@@ -670,8 +598,6 @@ let with_pool_stats t run =
   if steals > 0 || splits > 0 || idle > 0 then
     emit t (Pool_stats { steals; splits; idle });
   report
-
-let analyze_with t warm = with_pool_stats t (fun () -> analyze_dispatch t warm)
 
 let analyze t = analyze_with t None
 
@@ -684,7 +610,11 @@ type delta_outcome =
   | Delta_cold of { reason : string }
 
 module Delta = struct
-  type plan = { warm : warm; dirty_tasks : int; total_tasks : int }
+  type plan = {
+    warm : (Q.t, Report.bound) warm;
+    dirty_tasks : int;
+    total_tasks : int;
+  }
 
   (* The transactions of two models are aligned by name — admission
      changes the transaction count, so positional indices never
@@ -772,39 +702,42 @@ module Delta = struct
                   ot.Model.tasks)
             prev_model.Model.txns;
         let dirty = Ir.dirty_closure t.ir ~seed in
-      if Array.for_all Fun.id dirty then Error "all-dirty"
-      else begin
-        let w_jit =
-          Array.init n (fun a ->
-              let nt = Model.n_tasks m a in
-              if dirty.(a) then begin
-                let row = Array.make nt Q.zero in
-                row.(0) <- m.Model.release_jitter.(a);
-                row
-              end
-              else
-                Array.init nt (fun b ->
-                    prev_report.Report.results.(old_of.(a)).(b).Report.jitter))
-        in
-        let w_resp =
-          Array.init n (fun a ->
-              let nt = Model.n_tasks m a in
-              if dirty.(a) then Array.make nt Report.Divergent
-              else
-                Array.init nt (fun b ->
-                    prev_report.Report.results.(old_of.(a)).(b).Report.response))
-        in
-        let dirty_tasks = ref 0 in
-        Array.iteri
-          (fun a d -> if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
-          dirty;
-        Ok
-          {
-            warm = { w_dirty = dirty; w_jit; w_resp };
-            dirty_tasks = !dirty_tasks;
-            total_tasks = Ir.n_tasks t.ir;
-          }
-      end
+        if Array.for_all Fun.id dirty then Error "all-dirty"
+        else begin
+          let w_jit =
+            Array.init n (fun a ->
+                let nt = Model.n_tasks m a in
+                if dirty.(a) then begin
+                  let row = Array.make nt Q.zero in
+                  row.(0) <- m.Model.release_jitter.(a);
+                  row
+                end
+                else
+                  Array.init nt (fun b ->
+                      prev_report.Report.results.(old_of.(a)).(b)
+                        .Report.jitter))
+          in
+          let w_resp =
+            Array.init n (fun a ->
+                let nt = Model.n_tasks m a in
+                if dirty.(a) then Array.make nt Report.Divergent
+                else
+                  Array.init nt (fun b ->
+                      prev_report.Report.results.(old_of.(a)).(b)
+                        .Report.response))
+          in
+          let dirty_tasks = ref 0 in
+          Array.iteri
+            (fun a d ->
+              if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
+            dirty;
+          Ok
+            {
+              warm = { w_dirty = dirty; w_jit; w_resp };
+              dirty_tasks = !dirty_tasks;
+              total_tasks = Ir.n_tasks t.ir;
+            }
+        end
       end
     end
 
@@ -813,15 +746,26 @@ module Delta = struct
   let total_tasks p = p.total_tasks
 end
 
+(* The tail both warm entry points share: run the warm start, let
+   [ran] see its report, keep it when [keep] accepts it, and otherwise
+   count the fallback and rerun cold. *)
+let run_warm t warm ~ran ~keep ~outcome =
+  Rta.record_delta_run t.counters;
+  let report = analyze_with t (Some warm) in
+  ran report;
+  if keep report then (report, outcome)
+  else begin
+    Rta.record_delta_fallback t.counters;
+    (analyze t, Delta_cold { reason = "warm-not-converged" })
+  end
+
 let analyze_delta t ~prev_model ~prev_report =
   match Delta.plan t ~prev_model ~prev_report with
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok p ->
       let dirty = p.Delta.dirty_tasks and total = p.Delta.total_tasks in
       let carried = total - dirty in
-      Rta.record_delta_run t.counters;
       emit t (Delta { dirty; total; carried });
-      let report = analyze_with t (Some p.Delta.warm) in
       (* A warm run that converged reached the system's least fixed
          point (the seed is below it coordinatewise and the clean block
          is pinned at it — docs/INCREMENTAL.md), and under early exit a
@@ -829,50 +773,13 @@ let analyze_delta t ~prev_model ~prev_report =
          the cold report bit for bit.  Anything else — early exit on
          the dirty frontier, iteration cap — is rerun cold so the
          non-converged report matches the cold iterates exactly. *)
-      if report.Report.converged then
-        (report, Delta_warm { dirty; total; carried })
-      else begin
-        Rta.record_delta_fallback t.counters;
-        (analyze t, Delta_cold { reason = "warm-not-converged" })
-      end
+      run_warm t p.Delta.warm ~ran:ignore
+        ~keep:(fun r -> r.Report.converged)
+        ~outcome:(Delta_warm { dirty; total; carried })
 
 (* ------------------------------------------------------------------ *)
 (* Seeded analysis: warm fixed points across parameter points          *)
 (* ------------------------------------------------------------------ *)
-
-(* A seed report comes from a *different* parameter point, so its
-   jitters rarely lie on this session's scaled-integer lattice.  Unlike
-   the delta warm start nothing is pinned — every transaction is dirty,
-   the seeded responses are never read — so rounding each jitter *down*
-   onto the lattice keeps the start below the least fixed point and the
-   run stays sound.  Row 0 (the release jitter) is a model constant and
-   already exact on the lattice. *)
-let iwarm_floor_of tb w =
-  let scale = Timebase.scale tb in
-  try
-    Some
-      {
-        iw_dirty = w.w_dirty;
-        iw_jit =
-          Array.map (Array.map (fun j -> Q.floor Q.(j * of_int scale))) w.w_jit;
-        iw_resp = Array.map (Array.map (fun _ -> Rta.IDivergent)) w.w_resp;
-      }
-  with Q.Overflow -> None
-
-let seeded_dispatch t warm =
-  match t.timebase with
-  | Some tb when not !(t.kernel_poisoned) -> (
-      match iwarm_floor_of tb warm with
-      | None -> analyze_rational t ~warm:(Some warm)
-      | Some iw -> (
-          Rta.record_kernel_run t.counters;
-          try analyze_int t tb ~warm:(Some iw)
-          with Q.Overflow ->
-            Rta.record_kernel_fallback t.counters;
-            t.kernel_poisoned := true;
-            emit t (Kernel_fallback { reason = "overflow" });
-            analyze_rational t ~warm:(Some warm)))
-  | _ -> analyze_rational t ~warm:(Some warm)
 
 module Seeded = struct
   (* Seeding across parameter points keeps the structure fixed — same
@@ -1015,16 +922,6 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
   match Seeded.plan t ~seed_model ~seed_report with
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok (warm, distance) ->
-      Rta.record_delta_run t.counters;
-      let report = with_pool_stats t (fun () -> seeded_dispatch t warm) in
-      let iterations = report.Report.outer_iterations in
-      emit t
-        (Seeded
-           {
-             distance;
-             iterations;
-             saved = max 0 (seed_report.Report.outer_iterations - iterations);
-           });
       let total = Ir.n_tasks t.ir in
       (* The seed jitters sit between bottom and the least fixed point,
          so the warm iterates are squeezed between the cold iterates
@@ -1036,12 +933,19 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
          [verdict_only] callers accept the warm numbers as-is (they
          only read [schedulable]); otherwise a non-converged run is
          rerun cold so the reported iterates match cold exactly. *)
-      if report.Report.converged || verdict_only then
-        (report, Delta_warm { dirty = total; total; carried = 0 })
-      else begin
-        Rta.record_delta_fallback t.counters;
-        (analyze t, Delta_cold { reason = "warm-not-converged" })
-      end
+      run_warm t warm
+        ~ran:(fun report ->
+          let iterations = report.Report.outer_iterations in
+          emit t
+            (Seeded
+               {
+                 distance;
+                 iterations;
+                 saved =
+                   max 0 (seed_report.Report.outer_iterations - iterations);
+               }))
+        ~keep:(fun r -> r.Report.converged || verdict_only)
+        ~outcome:(Delta_warm { dirty = total; total; carried = 0 })
 
 let response_times t =
   (analyze t).Report.results

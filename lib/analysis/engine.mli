@@ -13,11 +13,11 @@
     (the IR survives any model with the same placement and priorities;
     the memo survives parameter changes but never a model change).
 
-    Everything an engine computes is bit-identical to the legacy
-    sessionless entry point ({!Holistic.analyze}): the IR only
-    reorganises static structure, and exact arithmetic plus sweeps that
-    write each site's response at its own index do the rest, whatever
-    the pool.  The test suite asserts this over random workloads. *)
+    A reused or rebound session computes exactly what a fresh
+    {!create} would: the IR only reorganises static structure, and exact
+    arithmetic plus sweeps that write each site's response at its own
+    index do the rest, whatever the pool.  The test suite asserts this
+    over random workloads. *)
 
 type t
 (** One analysis session.  Immutable apart from the memo and counters it
@@ -123,9 +123,8 @@ val with_overrides :
     original's values, [keep_history] patches just that field of the
     effective params (the common verdict-only probe:
     [with_overrides e ~keep_history:false]).  The compiled IR is always
-    shared.  The memo is shared when it is still valid — same model by
-    construction, and slot count matching the (possibly new) pool's job
-    count — and re-created otherwise. *)
+    shared, and so is the memo — its values depend on the model alone —
+    unless the new params turn memoisation off. *)
 
 val with_model : t -> Model.t -> t
 (** Re-bind the session to another model.  The compiled IR is reused
@@ -169,19 +168,22 @@ val analyze : t -> Report.t
     scenario, under the session's params, pool and memo.  Each sweep
     runs the sites it recomputes as one pool region; each site's
     scenario enumeration is sequential.  Emits [Analysis_started], one
-    [Sweep] per outer iteration and [Finished].  Bit-identical to
-    [Holistic.analyze ~params ?pool m] for every job count and
-    parameter toggle.
+    [Sweep] per outer iteration and [Finished].  The report is the same
+    for every job count and parameter toggle.
     @raise Ir.Scenario_space_too_large under the exact variant when a
     task's scenario space exceeds [max_int].
 
-    When the session carries an integer timebase (see {!kernel_scale}),
-    the whole fixed point runs on scaled native ints and converts back
-    to rationals at the report boundary — same sweeps, same events, same
-    report, bit for bit.  A checked-arithmetic overflow mid-run aborts
-    the kernel, emits [Kernel_fallback], bumps
-    {!Rta.kernel_fallbacks} and transparently reruns on the rational
-    path; later analyses on this session skip the kernel. *)
+    There is one outer loop, written once over the operations of a
+    timeline: exact rationals, or — when the session carries an integer
+    timebase (see {!kernel_scale}) — scaled native ints, converted back
+    to rationals at the report boundary.  Every integer step is the
+    exact image of the rational one, so both timelines take the same
+    sweeps, emit the same events and return the same report, bit for
+    bit.  A checked-arithmetic overflow mid-run aborts the kernel, emits
+    [Kernel_fallback], bumps {!Rta.kernel_fallbacks} and transparently
+    reruns on the rational path; later analyses on this session skip
+    the kernel.  {!analyze_delta} and {!analyze_seeded} run the same
+    loop from a warm start. *)
 
 val response_times : t -> Report.bound array array
 (** [analyze] reduced to the response matrix. *)
@@ -245,8 +247,10 @@ val analyze_delta :
     trajectory.  Emits [Delta] before a warm run; plans that fail and
     warm runs that do not converge fall back to the cold path
     transparently ({!Rta.delta_fallbacks}).  On a kernel session the
-    warm start is scaled onto the integer timeline when the previous
-    values lie on its lattice, and runs on exact rationals otherwise. *)
+    warm start is scaled onto the integer timeline when the pinned
+    (clean) rows lie on its lattice, and runs on exact rationals
+    otherwise; the dirty rows sit at the cold bottom, which always
+    does (docs/INCREMENTAL.md). *)
 
 (** {1 Seeded analysis}
 

@@ -102,6 +102,12 @@ let n_txns t = t.n_txns
 
 let n_tasks t = t.n_tasks
 
+let too_large_message m ~a ~b =
+  Printf.sprintf
+    "task %s has more than %d exact scenarios, too many to enumerate; analyze \
+     without --exact for the reduced bound"
+    (Model.task m a b).Model.name max_int
+
 let exact_total s =
   if s.total = 0 then raise (Scenario_space_too_large { a = s.a; b = s.b });
   s.total

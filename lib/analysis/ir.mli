@@ -3,9 +3,8 @@
     Interference participant sets (Eq. 17), the mixed-radix layout of
     the exact scenario space (Eq. 12) and the outer fixed point's
     dependency rows are pure functions of task placement and priorities.
-    They used to be recomputed inside every [Holistic.analyze] call and
-    every [Rta.response_time] call; {!compile} hoists them once per
-    {!Engine} session.
+    Rather than recompute them on every analysis and every response-time
+    call, {!compile} hoists them once per {!Engine} session.
 
     The IR never reads demands, periods, platform bounds, offsets or
     jitters, so one IR serves every model that shares the placement
@@ -48,6 +47,10 @@ exception Scenario_space_too_large of { a : int; b : int }
     Raised by exact analysis only; the reduced variant handles such
     systems. *)
 
+val too_large_message : Model.t -> a:int -> b:int -> string
+(** The user-facing explanation of [Scenario_space_too_large {a; b}]
+    for a model, naming the task and pointing at the reduced bound. *)
+
 val exact_total : site -> int
 (** [site.total], the size of the remote scenario space.
     @raise Scenario_space_too_large when it exceeds [max_int]. *)
@@ -56,9 +59,8 @@ type t
 
 val compile : Model.t -> t
 (** Compile every site of the model.  Cost is one {!Interference.hp}
-    sweep per (task, transaction) pair — what a single legacy
-    [Holistic.analyze] call used to spend on it per outer iteration
-    state rebuild. *)
+    sweep per (task, transaction) pair, paid once per session instead
+    of once per outer iteration. *)
 
 val site : t -> a:int -> b:int -> site
 

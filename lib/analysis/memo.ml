@@ -41,18 +41,14 @@ type cache = {
   mutable invalidations : int;
 }
 
-(* Caches are allocated on first touch, not at [create]: a delta-warm
-   analysis (Engine.analyze_delta) recomputes only the dirty frontier,
-   so most (task, slot) cells of a large memo are never consulted and
-   eager allocation would dominate the warm path's cost.  The [None]
-   slots are written at distinct indices, each by the one domain the
-   pool statically assigns that slot to, so no synchronisation is
-   needed — the same partitioning argument that makes the caches
-   themselves lock-free. *)
-type t = {
-  caches : cache option array array array; (* [a].[b].[slot] *)
-  slots : int;
-}
+(* One cache per task under analysis, allocated on first touch, not at
+   [create]: a delta-warm analysis (Engine.analyze_delta) recomputes
+   only the dirty frontier, so most cells of a large memo are never
+   consulted and eager allocation would dominate the warm path's cost.
+   A sweep runs each site on one domain and the pool's region join
+   orders the sweeps, so every cell — and the cache it holds — has a
+   single owner at a time and needs no synchronisation. *)
+type t = { caches : cache option array array (* [a].[b] *) }
 
 type stats = { hits : int; misses : int; invalidations : int }
 
@@ -73,23 +69,19 @@ let fresh () =
     invalidations = 0;
   }
 
-let create m ~slots =
-  if slots < 1 then invalid_arg "Memo.create: slots < 1";
+let create m =
   {
     caches =
       Array.init (Model.n_txns m) (fun a ->
-          Array.init (Model.n_tasks m a) (fun _ -> Array.make slots None));
-    slots;
+          Array.make (Model.n_tasks m a) None);
   }
 
-let slots t = t.slots
-
-let cache t ~a ~b ~slot =
-  match t.caches.(a).(b).(slot) with
+let cache t ~a ~b =
+  match t.caches.(a).(b) with
   | Some c -> c
   | None ->
       let c = fresh () in
-      t.caches.(a).(b).(slot) <- Some c;
+      t.caches.(a).(b) <- Some c;
       c
 
 let rows_equal a b =
@@ -192,15 +184,14 @@ let w_star c m ~phi ~jit ~i ~hp_list ~a ~b ~t =
 let stats t =
   let acc = ref { hits = 0; misses = 0; invalidations = 0 } in
   Array.iter
-    (Array.iter
-       (Array.iter (function
-         | None -> ()
-         | Some (c : cache) ->
-             acc :=
-               {
-                 hits = !acc.hits + c.hits;
-                 misses = !acc.misses + c.misses;
-                 invalidations = !acc.invalidations + c.invalidations;
-               })))
+    (Array.iter (function
+      | None -> ()
+      | Some (c : cache) ->
+          acc :=
+            {
+              hits = !acc.hits + c.hits;
+              misses = !acc.misses + c.misses;
+              invalidations = !acc.invalidations + c.invalidations;
+            }))
     t.caches;
   !acc

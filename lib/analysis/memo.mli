@@ -1,7 +1,7 @@
 (** Memoisation of the interference terms across the Jacobi sweeps of
     the holistic analysis.
 
-    One outer iteration of {!Holistic.analyze} evaluates the demand
+    One outer iteration of {!Engine.analyze} evaluates the demand
     functions W{^k}{_i}(τ{_a,b}, t) (Eqs. 7–11, 15, 17) at every point
     the busy-period fixed points visit; the next sweep re-evaluates most
     of them with {e identical} arguments, because only some jitter rows
@@ -16,31 +16,24 @@
     memo cannot change the least fixed point — see the memoisation
     section of docs/THEORY.md for the argument.
 
-    Caches are partitioned per task under analysis and per pool slot
-    ({!Parallel.Pool}): a sweep passes each site the slot that runs it,
-    and the pool runs slot [s] on one domain only, so each cache is only
-    ever touched by one domain per region and no locking is needed.
-    Entries stay warm across sweeps while a site keeps its slot. *)
+    There is one cache per task under analysis.  A sweep runs each site
+    on exactly one domain and the pool's region join orders the sweeps,
+    so each cache has a single owner at a time and needs no locking;
+    entries stay warm across sweeps. *)
 
 type t
-(** Memo state for one {!Holistic.analyze} run. *)
+(** Memo state for the analyses of one {!Engine} session. *)
 
 type cache
-(** The caches of one (task under analysis, pool slot) pair. *)
+(** The caches of one task under analysis. *)
 
-val create : Model.t -> slots:int -> t
-(** Fresh memo for [slots] pool slots (≥ 1).  Per-(task, slot) caches
-    are allocated lazily on first {!cache} access: a delta-warm analysis
-    ({!Engine.analyze_delta}) touches only the dirty frontier's cells,
-    so creation stays O(tasks) pointers however large the slot count. *)
+val create : Model.t -> t
+(** Fresh memo.  Per-task caches are allocated lazily on first {!cache}
+    access: a delta-warm analysis ({!Engine.analyze_delta}) touches only
+    the dirty frontier's cells, so creation stays O(tasks) pointers. *)
 
-val slots : t -> int
-(** The slot count the memo was created for.  A memo may only be used
-    with pools of exactly this many slots — {!Engine.with_overrides}
-    re-creates the memo when a pool override changes the job count. *)
-
-val cache : t -> a:int -> b:int -> slot:int -> cache
-(** The cache task [(a, b)] must use on pool slot [slot]. *)
+val cache : t -> a:int -> b:int -> cache
+(** The cache of task [(a, b)]. *)
 
 val evaluator :
   cache ->

@@ -54,7 +54,7 @@ type t = {
           [Reduced] variant.  Disable only to benchmark the pruning
           itself. *)
   incremental : bool;
-      (** Incremental outer fixed point ({!Holistic}): between Jacobi
+      (** Incremental outer fixed point ({!Engine}): between Jacobi
           sweeps, only tasks whose interference inputs (the jitter or
           offset row of some transaction in their dependency set) changed
           are recomputed; the rest carry their previous response forward.

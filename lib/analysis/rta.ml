@@ -238,10 +238,10 @@ let site_response ?counters (site : Ir.site) params ~contrib ~wstar ~sum
       bump counters (fun c -> c.bounds) !bounds;
       !best
 
-let response_time_site ?(slot = 0) ?memo ?counters (site : Ir.site) m params
+let response_time_site ?memo ?counters (site : Ir.site) m params
     ~phi ~jit =
   let a = site.Ir.a and b = site.Ir.b in
-  let cache = Option.map (fun t -> Memo.cache t ~a ~b ~slot) memo in
+  let cache = Option.map (fun t -> Memo.cache t ~a ~b) memo in
   (* Hoisted demand curve of transaction [i] initiated by τ_{i,k}: the
      kernel (phases, scaled costs) is compiled — or the memo entry
      resolved — once per response-time computation instead of inside
@@ -356,14 +356,13 @@ let scenario_response_int (tb : Timebase.t) ~sphi ~sjit ~a ~b ~c
       done;
       !best
 
-
-let response_time_site_int (tb : Timebase.t) ?(slot = 0) ?memo ?counters
-    ?kernels (site : Ir.site) params ~sphi ~sjit =
+let response_time_site_int (tb : Timebase.t) ?memo ?counters ?kernels
+    (site : Ir.site) params ~sphi ~sjit =
   let a = site.Ir.a and b = site.Ir.b in
   let kern =
     match kernels with Some k -> k | None -> Kernels.of_site tb site
   in
-  let cache = Option.map (fun t -> Memo.cache t ~a ~b ~slot) memo in
+  let cache = Option.map (fun t -> Memo.cache t ~a ~b) memo in
   (* Same memo cutoff as the rational path: kernels with fewer than
      [Memo.min_terms] hoisted terms are evaluated directly. *)
   let eval_of (sk : Interference.iskeleton) ~k =

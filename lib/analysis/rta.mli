@@ -30,8 +30,7 @@
     enumeration — see docs/THEORY.md for the dominance argument.
 
     One site's enumeration is sequential.  {!Engine} parallelises across
-    the sites of a Jacobi sweep instead, passing each call the pool slot
-    that runs it. *)
+    the sites of a Jacobi sweep instead. *)
 
 (** Scenario accounting, shared by benchmarks and the CLI.  One unit is
     one remote scenario vector ν of Eq. 12 ([Reduced] counts 1 per
@@ -88,7 +87,6 @@ val record_delta_fallback : counters -> unit
 (** Bumped by {!Engine.analyze_delta} when a warm run falls back. *)
 
 val response_time_site :
-  ?slot:int ->
   ?memo:Memo.t ->
   ?counters:counters ->
   Ir.site ->
@@ -104,8 +102,8 @@ val response_time_site :
     {!Ir.compatible} with [m].
 
     [memo] caches interference evaluations across calls — see {!Memo};
-    the call only touches the memo's cache of [(site, slot)] ([slot]
-    defaults to 0), so calls on distinct slots need no synchronisation.
+    the call only touches the memo's cache of the site's task, so calls
+    on distinct sites need no synchronisation.
     [counters], when given, is bumped with this call's scenario
     accounting.
     @raise Ir.Scenario_space_too_large under [Exact] when the site's
@@ -125,7 +123,6 @@ val iresponse_to_bound : Timebase.t -> iresponse -> Report.bound
 
 val response_time_site_int :
   Timebase.t ->
-  ?slot:int ->
   ?memo:Memo.t ->
   ?counters:counters ->
   ?kernels:Kernels.site ->

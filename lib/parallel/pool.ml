@@ -4,7 +4,7 @@
    participant 0 itself and waits for the unfinished count to drain.
    Slot identity is static — slot [s] of a region always runs in the
    participant [s mod participants] — which is what keeps per-slot
-   caches valid across regions.  Index ranges, however, migrate between
+   state single-owner across regions.  Index ranges, however, migrate between
    slots: [run_ranges] gives every slot an atomic deque holding its
    remaining contiguous range, owners claim halving blocks off the
    front, and a slot that drains its own deque steals the back half of
@@ -186,9 +186,10 @@ let chunk ~jobs ~n ~slot = (slot * n / jobs, (slot + 1) * n / jobs)
    parallel: the extra slots serialise behind the same cores and pay
    the wake-up for nothing, so [slots_for] caps at the hardware
    parallelism.  Slot identity is untouched — per-slot state such as
-   memo shards is still sized by [jobs].  Every caller's items (a whole
-   site enumeration, a whole request analysis) dwarf the few
-   microseconds of a wake-up, so there is no per-item cost cutoff. *)
+   the service's engine sessions is still sized by [jobs].  Every
+   caller's items (a whole site enumeration, a whole request analysis)
+   dwarf the few microseconds of a wake-up, so there is no per-item
+   cost cutoff. *)
 let slots_for t n =
   Stdlib.max 1 (Stdlib.min n (Stdlib.min t.jobs (Lazy.force hardware_slots)))
 

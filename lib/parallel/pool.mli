@@ -3,8 +3,8 @@
 
     Slot {e identity} is static: slot [s] of a region always executes in
     participant [s mod participants] (the caller plus the resident
-    worker domains), which keeps per-slot caches (the interference memo
-    of [Analysis.Memo]) single-owner across successive regions.  Index
+    worker domains), which keeps per-slot state (the service's engine
+    sessions) single-owner across successive regions.  Index
     {e ranges}, however, migrate: {!run_ranges} seeds one atomic deque
     per slot with the contiguous chunk [\[s·n/slots, (s+1)·n/slots)],
     owners claim halving blocks off the front, and a slot that drains

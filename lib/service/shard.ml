@@ -150,11 +150,14 @@ let engine_sink t =
    affected tasks iterate, with a transparent cold fallback.  Cache,
    baseline and therefore every wire-visible field depend only on the
    tenant's own request history, which is what keeps per-tenant
-   responses bit-identical across worker counts AND shard counts. *)
+   responses bit-identical across worker counts AND shard counts.
+   [Error] carries the reason an exact analysis cannot run at all — a
+   scenario space too large to enumerate — for the caller to reject the
+   request with, leaving the store as it was. *)
 let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
   match Tenant.cache_find ten snap.Store.hash with
-  | Some s -> (s, true, None, None, None)
-  | None ->
+  | Some s -> Ok (s, true, None, None, None)
+  | None -> (
       let model = Analysis.Model.of_system snap.Store.sys in
       let session, kind =
         match slot.session with
@@ -168,7 +171,7 @@ let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
               if warm then Warm else Rebound )
       in
       slot.session <- Some session;
-      let report, delta =
+      match
         match ten.Tenant.baseline with
         | Some (prev_model, prev_report) ->
             let report, outcome =
@@ -176,12 +179,16 @@ let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
             in
             (report, Some outcome)
         | None -> (Analysis.Engine.analyze session, None)
-      in
-      ( P.summarize ~store:snap ~model report,
-        false,
-        Some kind,
-        delta,
-        Some (model, report) )
+      with
+      | exception Analysis.Ir.Scenario_space_too_large { a; b } ->
+          Error [ Analysis.Ir.too_large_message model ~a ~b ]
+      | report, delta ->
+          Ok
+            ( P.summarize ~store:snap ~model report,
+              false,
+              Some kind,
+              delta,
+              Some (model, report) ))
 
 (* One region computation on [slot]'s session: the tenant's region
    cache first (keyed by snapshot hash, platform and grid — several
@@ -228,58 +235,70 @@ let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
           in
           slot.session <- Some session;
           let module D = Design.Param_search in
-          let rm = D.region ~engine:session ~precision sys ~resource:idx in
-          let b = resources.(idx).Platform.Resource.bound in
-          let member =
-            D.region_member rm ~alpha:b.Platform.Linear_bound.alpha
-              ~delta:b.Platform.Linear_bound.delta
-          in
-          let st = Regions.Cell.stats rm.D.cells in
-          let result =
-            {
-              P.r_hash = snap.Store.hash;
-              r_platform = resource;
-              r_precision = precision;
-              r_schedulable = member;
-              r_cells = st.Regions.Cell.cells;
-              r_feasible = st.Regions.Cell.feasible;
-              r_infeasible = st.Regions.Cell.infeasible;
-              r_boundary = st.Regions.Cell.boundary;
-              r_refined = st.Regions.Cell.refined;
-              r_probes = st.Regions.Cell.probes;
-              r_frontier =
-                List.map
-                  (fun (p : Regions.Frontier.point) ->
-                    (p.Regions.Frontier.f_alpha, p.Regions.Frontier.f_delta))
-                  (Regions.Frontier.points rm.D.frontier);
-            }
-          in
-          Region_evaluated
-            {
-              result;
-              cache_hit = false;
-              kind = Some kind;
-              ladder = Some (Regions.Probe_ladder.stats rm.D.ladder);
-            })
+          match D.region ~engine:session ~precision sys ~resource:idx with
+          | exception Analysis.Ir.Scenario_space_too_large { a; b } ->
+              Invalid [ Analysis.Ir.too_large_message model ~a ~b ]
+          | rm ->
+              let b = resources.(idx).Platform.Resource.bound in
+              let member =
+                D.region_member rm ~alpha:b.Platform.Linear_bound.alpha
+                  ~delta:b.Platform.Linear_bound.delta
+              in
+              let st = Regions.Cell.stats rm.D.cells in
+              let result =
+                {
+                  P.r_hash = snap.Store.hash;
+                  r_platform = resource;
+                  r_precision = precision;
+                  r_schedulable = member;
+                  r_cells = st.Regions.Cell.cells;
+                  r_feasible = st.Regions.Cell.feasible;
+                  r_infeasible = st.Regions.Cell.infeasible;
+                  r_boundary = st.Regions.Cell.boundary;
+                  r_refined = st.Regions.Cell.refined;
+                  r_probes = st.Regions.Cell.probes;
+                  r_frontier =
+                    List.map
+                      (fun (p : Regions.Frontier.point) ->
+                        ( p.Regions.Frontier.f_alpha,
+                          p.Regions.Frontier.f_delta ))
+                      (Regions.Frontier.points rm.D.frontier);
+                }
+              in
+              Region_evaluated
+                {
+                  result;
+                  cache_hit = false;
+                  kind = Some kind;
+                  ladder = Some (Regions.Probe_ladder.stats rm.D.ladder);
+                })
 
 (* Evaluate one read-only request against the frozen [snap]; runs on a
    worker domain. *)
 let evaluate t slot ten snap req =
   match req with
-  | P.Query ->
-      let summary, cache_hit, kind, delta, fresh =
-        analyze_snapshot t slot ten snap
-      in
-      Evaluated { candidate = None; summary; cache_hit; kind; delta; fresh }
+  | P.Query -> (
+      match analyze_snapshot t slot ten snap with
+      | Error es -> Invalid es
+      | Ok (summary, cache_hit, kind, delta, fresh) ->
+          Evaluated
+            { candidate = None; summary; cache_hit; kind; delta; fresh })
   | P.What_if { uid; spec } -> (
       match Store.admit snap ~uid ~spec with
       | Error es -> Invalid es
-      | Ok cand ->
-          let summary, cache_hit, kind, delta, fresh =
-            analyze_snapshot t slot ten cand
-          in
-          Evaluated
-            { candidate = Some cand; summary; cache_hit; kind; delta; fresh })
+      | Ok cand -> (
+          match analyze_snapshot t slot ten cand with
+          | Error es -> Invalid es
+          | Ok (summary, cache_hit, kind, delta, fresh) ->
+              Evaluated
+                {
+                  candidate = Some cand;
+                  summary;
+                  cache_hit;
+                  kind;
+                  delta;
+                  fresh;
+                }))
   | P.Region { resource; precision } ->
       region_snapshot t slot ten snap ~resource ~precision
   | P.Admit _ | P.Revoke _ | P.Stats -> assert false
@@ -404,6 +423,12 @@ let process_batch t envs =
            tenant = env.P.tenant;
          })
   in
+  let reject_invalid i ~op ~uid errors =
+    t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
+    finish i ~status:"rejected" ~cache_hit:false ~session:None
+      (P.rejected ?tenant:arr.(i).P.tenant ~seq:arr.(i).P.seq ~op ~uid
+         ~reason:"invalid" ~errors ~hash:tens.(i).Tenant.store.Store.hash ())
+  in
   let finalize i =
     let env = arr.(i) in
     let seq = env.P.seq in
@@ -424,16 +449,13 @@ let process_batch t envs =
         match results.(i) with
         | Not_run -> assert false
         | Invalid errors ->
-            t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
             let uid =
               match env.P.req with
               | P.What_if { uid; _ } -> uid
               | P.Region { resource; _ } -> resource
               | _ -> "?"
             in
-            finish i ~status:"rejected" ~cache_hit:false ~session:None
-              (P.rejected ?tenant ~seq ~op:(P.op_name env.P.req) ~uid
-                 ~reason:"invalid" ~errors ~hash:ten.Tenant.store.Store.hash ())
+            reject_invalid i ~op:(P.op_name env.P.req) ~uid errors
         | Evaluated { candidate; summary; cache_hit; kind; delta; fresh } -> (
             record_kind t kind;
             record_cache t cache_hit;
@@ -499,44 +521,51 @@ let process_batch t envs =
     pending := [];
     to_run := []
   in
-  let commit_with i uid ~op cand (summary, cache_hit, kind, delta, fresh) =
-    let seq = arr.(i).P.seq in
-    let tenant = arr.(i).P.tenant in
-    let ten = tens.(i) in
-    record_kind t kind;
-    record_cache t cache_hit;
-    record_delta t delta;
-    Tenant.update_baseline ten fresh;
-    Tenant.cache_add ten summary;
-    let session = Option.map session_label kind in
-    let commit status response =
-      ten.Tenant.store <- cand;
-      wal_append t ten uid ~op cand;
-      t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
-      finish i ~status ~cache_hit ~session response
-    in
-    match op with
-    | `Admit ->
-        if summary.P.s_schedulable then
-          commit "admitted"
-            (P.admitted ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
-               ~cached:cache_hit summary)
-        else (
-          (* Rollback: the candidate is dropped, the tenant's store was
-             never touched. *)
-          t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-          finish i ~status:"rejected" ~cache_hit ~session
-            (P.rejected ?tenant ~seq ~op:"admit" ~uid ~reason:"unschedulable"
-               ~violations:summary.P.s_violations
-               ~candidate_instances:(Store.unit_instances cand uid)
-               ~hash:ten.Tenant.store.Store.hash ()))
-    | `Revoke ->
-        (* Revocation commits whenever the remaining assembly is valid:
-           shrinking the admitted set must not be refusable on analysis
-           grounds, but the response still reports the verdict. *)
-        commit "revoked"
-          (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
-             ~cached:cache_hit summary)
+  let commit_with i uid ~op cand = function
+    | Error errors ->
+        reject_invalid i
+          ~op:(match op with `Admit -> "admit" | `Revoke -> "revoke")
+          ~uid errors
+    | Ok (summary, cache_hit, kind, delta, fresh) -> (
+        let seq = arr.(i).P.seq in
+        let tenant = arr.(i).P.tenant in
+        let ten = tens.(i) in
+        record_kind t kind;
+        record_cache t cache_hit;
+        record_delta t delta;
+        Tenant.update_baseline ten fresh;
+        Tenant.cache_add ten summary;
+        let session = Option.map session_label kind in
+        let commit status response =
+          ten.Tenant.store <- cand;
+          wal_append t ten uid ~op cand;
+          t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
+          finish i ~status ~cache_hit ~session response
+        in
+        match op with
+        | `Admit ->
+            if summary.P.s_schedulable then
+              commit "admitted"
+                (P.admitted ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
+                   ~cached:cache_hit summary)
+            else (
+              (* Rollback: the candidate is dropped, the tenant's store was
+                 never touched. *)
+              t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
+              finish i ~status:"rejected" ~cache_hit ~session
+                (P.rejected ?tenant ~seq ~op:"admit" ~uid
+                   ~reason:"unschedulable"
+                   ~violations:summary.P.s_violations
+                   ~candidate_instances:(Store.unit_instances cand uid)
+                   ~hash:ten.Tenant.store.Store.hash ()))
+        | `Revoke ->
+            (* Revocation commits whenever the remaining assembly is valid
+               and analysable: shrinking the admitted set must not be
+               refusable on the verdict, which the response still
+               reports. *)
+            commit "revoked"
+              (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
+                 ~cached:cache_hit summary))
   in
   let commit_barrier i uid ~op cand =
     commit_with i uid ~op cand (analyze_snapshot t t.slots.(0) tens.(i) cand)
@@ -547,12 +576,6 @@ let process_batch t envs =
     let tenant = env.P.tenant in
     let ten = tens.(i) in
     Metrics.count_request t.metrics env.P.req;
-    let invalid ~op ~uid errors =
-      t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-      finish i ~status:"rejected" ~cache_hit:false ~session:None
-        (P.rejected ?tenant ~seq ~op ~uid ~reason:"invalid" ~errors
-           ~hash:ten.Tenant.store.Store.hash ())
-    in
     match env.P.req with
     | P.Stats ->
         (* The fleet renders stats: every shard is quiescent at this
@@ -564,11 +587,11 @@ let process_batch t envs =
           (render ~seq ~tenant)
     | P.Admit { uid; spec } -> (
         match Store.admit ten.Tenant.store ~uid ~spec with
-        | Error errors -> invalid ~op:"admit" ~uid errors
+        | Error errors -> reject_invalid i ~op:"admit" ~uid errors
         | Ok cand -> commit_barrier i uid ~op:`Admit cand)
     | P.Revoke { uid } -> (
         match Store.revoke ten.Tenant.store ~uid with
-        | Error errors -> invalid ~op:"revoke" ~uid errors
+        | Error errors -> reject_invalid i ~op:"revoke" ~uid errors
         | Ok cand -> commit_barrier i uid ~op:`Revoke cand)
     | P.Query | P.What_if _ | P.Region _ -> assert false
   in
@@ -639,12 +662,7 @@ let process_batch t envs =
             else begin
               Metrics.count_request t.metrics arr.(i).P.req;
               match cands.(j) with
-              | `Invalid (uid, op, errors) ->
-                  t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-                  finish i ~status:"rejected" ~cache_hit:false ~session:None
-                    (P.rejected ?tenant:arr.(i).P.tenant ~seq:arr.(i).P.seq
-                       ~op ~uid ~reason:"invalid" ~errors
-                       ~hash:tens.(i).Tenant.store.Store.hash ())
+              | `Invalid (uid, op, errors) -> reject_invalid i ~op ~uid errors
               | `Cand (uid, op, cand) ->
                   let pre =
                     match spec_results.(j) with

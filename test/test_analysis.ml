@@ -11,7 +11,6 @@ module Interference = Analysis.Interference
 module Busy = Analysis.Busy
 module Rta = Analysis.Rta
 module Best_case = Analysis.Best_case
-module Holistic = Analysis.Holistic
 module Classical = Analysis.Classical
 module Engine = Analysis.Engine
 
@@ -115,7 +114,7 @@ let degenerate_model () =
        classical_tasks)
 
 let test_classical_equivalence () =
-  let holistic = Holistic.analyze (degenerate_model ()) in
+  let holistic = Engine.analyze (Engine.create (degenerate_model ())) in
   let classical = Classical.response_times classical_tasks in
   List.iteri
     (fun i (ct, cr) ->
@@ -179,7 +178,7 @@ let test_divergence () =
       ~bounds:[ LB.make ~alpha:(q "0.1") ~delta:Q.zero ~beta:Q.zero ]
       [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ]
   in
-  let r = Holistic.analyze m in
+  let r = Engine.analyze (Engine.create m) in
   check_bound "divergent" Report.Divergent r.Report.results.(0).(0).Report.response;
   Alcotest.(check bool) "unschedulable" false r.Report.schedulable
 
@@ -192,7 +191,7 @@ let test_deadline_miss_detected () =
           tasks = [| task "t" "2" "1" 0 1 |] };
       ]
   in
-  let r = Holistic.analyze m in
+  let r = Engine.analyze (Engine.create m) in
   check_bound "finite" (Report.Finite (q "2")) r.Report.results.(0).(0).Report.response;
   Alcotest.(check bool) "missed" false r.Report.schedulable
 
@@ -202,7 +201,8 @@ let test_blocking_term () =
   let base = [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ] in
   let m0 = Model.make ~bounds:[ LB.full ] base in
   let m1 = Model.make ~bounds:[ LB.full ] ~blocking:[ ("t", q "3") ] base in
-  let r0 = Holistic.analyze m0 and r1 = Holistic.analyze m1 in
+  let r0 = Engine.analyze (Engine.create m0)
+  and r1 = Engine.analyze (Engine.create m1) in
   check_bound "without blocking" (Report.Finite (q "2"))
     r0.Report.results.(0).(0).Report.response;
   check_bound "with blocking" (Report.Finite (q "5"))
@@ -211,7 +211,7 @@ let test_blocking_term () =
 let test_release_jitter () =
   let base = [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ] in
   let m = Model.make ~bounds:[ LB.full ] ~release_jitter:[ ("g", q "4") ] base in
-  let r = Holistic.analyze m in
+  let r = Engine.analyze (Engine.create m) in
   (* the response is measured from the nominal activation: J + C *)
   check_bound "jittered" (Report.Finite (q "6"))
     r.Report.results.(0).(0).Report.response
@@ -225,7 +225,7 @@ let test_multi_job_busy_window () =
       ~release_jitter:[ ("g", q "15") ]
       [ txn "g" "10" [ task "t" "4" "4" 0 1 ] ]
   in
-  let r = Holistic.analyze m in
+  let r = Engine.analyze (Engine.create m) in
   check_bound "jitter-delayed job dominates" (Report.Finite (q "19"))
     r.Report.results.(0).(0).Report.response;
   (* the simulator's `Max jitter policy reproduces it: every instance
@@ -289,7 +289,7 @@ let test_best_case_refined_dominates () =
 
 let test_report_pp_smoke () =
   let m = paper_model () in
-  let r = Holistic.analyze m in
+  let r = Engine.analyze (Engine.create m) in
   let names a b = (Model.task m a b).Model.name in
   let table = Format.asprintf "%a" (Report.pp ~names) r in
   Alcotest.(check bool) "mentions schedulable" true
@@ -347,14 +347,16 @@ let test_early_exit_flag () =
           tasks = [| task "t" "3" "1" 0 1 |] };
       ]
   in
-  let fast = Holistic.analyze m in
+  let fast = Engine.analyze (Engine.create m) in
   Alcotest.(check bool) "unschedulable" false fast.Report.schedulable;
   Alcotest.(check bool) "not converged (early exit)" false fast.Report.converged;
   Alcotest.(check int) "one iteration" 1 fast.Report.outer_iterations;
   let full =
-    Holistic.analyze
-      ~params:{ Analysis.Params.default with Analysis.Params.early_exit = false }
-      m
+    Engine.analyze
+      (Engine.create
+         ~params:
+           { Analysis.Params.default with Analysis.Params.early_exit = false }
+         m)
   in
   Alcotest.(check bool) "same verdict" false full.Report.schedulable;
   (* single-task transaction: jitters never change, so the full run
@@ -371,8 +373,8 @@ let test_exact_never_exceeds_reduced () =
     let spec = { Workload.Gen.default_spec with n_txns = 3; max_tasks_per_txn = 2 } in
     let sys = Workload.Gen.system ~seed spec in
     let m = Model.of_system sys in
-    let re = Holistic.analyze ~params:P.exact m in
-    let rr = Holistic.analyze ~params:P.default m in
+    let re = Engine.analyze (Engine.create ~params:P.exact m) in
+    let rr = Engine.analyze (Engine.create ~params:P.default m) in
     Array.iteri
       (fun a row ->
         Array.iteri
@@ -424,14 +426,15 @@ let ablation_identity_prop =
          QCheck.assume (scenario_total m < 20_000);
          let agrees base =
            let reference =
-             Holistic.analyze
-               ~params:{ base with P.prune = false; incremental = false }
-               m
+             Engine.analyze
+               (Engine.create
+                  ~params:{ base with P.prune = false; incremental = false }
+                  m)
            in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
-                   Holistic.analyze ~params:base ~pool m)
+                   Engine.analyze (Engine.create ~params:base ~pool m))
                = reference)
              [ 1; 4 ]
          in
@@ -439,9 +442,10 @@ let ablation_identity_prop =
 
 let test_keep_history () =
   let m = paper_model () in
-  let with_h = Holistic.analyze ~params:P.exact m in
+  let with_h = Engine.analyze (Engine.create ~params:P.exact m) in
   let without_h =
-    Holistic.analyze ~params:{ P.exact with P.keep_history = false } m
+    Engine.analyze
+      (Engine.create ~params:{ P.exact with P.keep_history = false } m)
   in
   Alcotest.(check bool) "history dropped" true (without_h.Report.history = []);
   Alcotest.(check bool)
@@ -452,7 +456,7 @@ let test_scenario_counters () =
   let m = paper_model () in
   let exercise params =
     let counters = Rta.counters () in
-    ignore (Holistic.analyze ~params ~counters m);
+    ignore (Engine.analyze (Engine.create ~params ~counters m));
     (Rta.total_scenarios counters, Rta.visited_scenarios counters)
   in
   let t0, v0 =
@@ -465,14 +469,14 @@ let test_scenario_counters () =
 
 (* --- engine sessions --- *)
 
-(* Engine sessions must be observationally identical to the sessionless
-   shim: the compiled IR only reorganises static structure, the memo
-   replays exact values, and reusing one session (second run reads a
-   warm memo) must replay the identical report. *)
+(* A reused session must be observationally identical to a fresh one:
+   the memo replays exact values, so analysing one session twice (the
+   second run reads a warm memo) on any pool must replay the report of
+   a fresh sequential [Engine.create]. *)
 let engine_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"engine session = sessionless shim, exact and reduced, jobs 1 and 4"
+       ~name:"engine session = fresh session, exact and reduced, jobs 1 and 4"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -487,7 +491,7 @@ let engine_identity_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let agrees params =
-           let reference = Holistic.analyze ~params m in
+           let reference = Engine.analyze (Engine.create ~params m) in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -550,7 +554,7 @@ let test_engine_with_model () =
   Alcotest.(check bool)
     "rebound model = fresh session" true
     (Engine.analyze (Engine.with_model e scaled)
-    = Holistic.analyze ~params:P.exact scaled)
+    = Engine.analyze (Engine.create ~params:P.exact scaled))
 
 let test_engine_events () =
   let m = paper_model () in
@@ -680,7 +684,8 @@ let test_kernel_unrepresentable () =
   Alcotest.(check bool) "no kernel" true (Engine.kernel_scale e = None);
   let r_on = Engine.analyze e in
   let r_off =
-    Holistic.analyze ~params:{ P.default with P.int_kernel = false } m2
+    Engine.analyze
+      (Engine.create ~params:{ P.default with P.int_kernel = false } m2)
   in
   Alcotest.(check bool) "fallback report identical" true (r_on = r_off)
 
@@ -713,7 +718,8 @@ let runtime_fallback_model () =
 let test_kernel_runtime_fallback () =
   let m = runtime_fallback_model () in
   let reference =
-    Holistic.analyze ~params:{ P.default with P.int_kernel = false } m
+    Engine.analyze
+      (Engine.create ~params:{ P.default with P.int_kernel = false } m)
   in
   List.iter
     (fun jobs ->
@@ -819,7 +825,8 @@ let kernel_identity_prop =
          in
          let agrees model base =
            let reference =
-             Holistic.analyze ~params:{ base with P.int_kernel = false } model
+             Engine.analyze
+               (Engine.create ~params:{ base with P.int_kernel = false } model)
            in
            List.for_all
              (fun jobs ->
@@ -903,8 +910,8 @@ let delta_identity_prop =
          QCheck.assume (scenario_total prev < 20_000);
          let agrees base next =
            let params = { base with P.keep_history = false } in
-           let prev_report = Holistic.analyze ~params prev in
-           let reference = Holistic.analyze ~params next in
+           let prev_report = Engine.analyze (Engine.create ~params prev) in
+           let reference = Engine.analyze (Engine.create ~params next) in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -938,7 +945,7 @@ let two_platform_model ?(extra = false) () =
 let test_delta_localized_admit () =
   let prev = two_platform_model () in
   let next = two_platform_model ~extra:true () in
-  let prev_report = Holistic.analyze ~params:delta_params prev in
+  let prev_report = Engine.analyze (Engine.create ~params:delta_params prev) in
   let e = Engine.create ~params:delta_params next in
   (* C (priority 3, platform 1) interferes with B but not with A: the
      dirty closure is {B, C} and A's converged row is carried. *)
@@ -955,7 +962,7 @@ let test_delta_localized_admit () =
       Alcotest.(check int) "carried" 1 carried
   | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
   Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Holistic.analyze ~params:delta_params next))
+    (same_verdict r (Engine.analyze (Engine.create ~params:delta_params next)))
 
 let test_delta_revoke () =
   (* revoking C must re-iterate B (its interference shrank — responses
@@ -963,7 +970,7 @@ let test_delta_revoke () =
      sharing a platform with the removed transaction) and carry A *)
   let prev = two_platform_model ~extra:true () in
   let next = two_platform_model () in
-  let prev_report = Holistic.analyze ~params:delta_params prev in
+  let prev_report = Engine.analyze (Engine.create ~params:delta_params prev) in
   let e = Engine.create ~params:delta_params next in
   let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
   (match outcome with
@@ -973,21 +980,22 @@ let test_delta_revoke () =
       Alcotest.(check int) "carried" 1 carried
   | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
   Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Holistic.analyze ~params:delta_params next))
+    (same_verdict r (Engine.analyze (Engine.create ~params:delta_params next)))
 
 let test_delta_plan_gates () =
   let m = two_platform_model () in
-  let converged = Holistic.analyze ~params:delta_params m in
+  let converged = Engine.analyze (Engine.create ~params:delta_params m) in
   let expect_reason want = function
     | Error got -> Alcotest.(check string) want want got
     | Ok _ -> Alcotest.failf "expected cold reason %s" want
   in
   (* a non-converged previous report cannot seed anything *)
   let hopeless =
-    Holistic.analyze ~params:delta_params
-      (Model.make
-         ~bounds:[ LB.make ~alpha:(q "0.1") ~delta:Q.zero ~beta:Q.zero ]
-         [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ])
+    Engine.analyze
+      (Engine.create ~params:delta_params
+         (Model.make
+            ~bounds:[ LB.make ~alpha:(q "0.1") ~delta:Q.zero ~beta:Q.zero ]
+            [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ]))
   in
   let e = Engine.create ~params:delta_params m in
   expect_reason "previous-not-converged"
@@ -1068,8 +1076,10 @@ let seeded_identity_prop =
          let seed_model = dominating_seed target in
          let agrees base =
            let params = { base with P.keep_history = false } in
-           let seed_report = Holistic.analyze ~params seed_model in
-           let reference = Holistic.analyze ~params target in
+           let seed_report =
+             Engine.analyze (Engine.create ~params seed_model)
+           in
+           let reference = Engine.analyze (Engine.create ~params target) in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -1113,8 +1123,10 @@ let sweep_schedule_identity_prop =
            let params =
              { base with P.keep_history = false; int_kernel = kernel }
            in
-           let prev_report = Holistic.analyze ~params target in
-           let seed_report = Holistic.analyze ~params seed_model in
+           let prev_report = Engine.analyze (Engine.create ~params target) in
+           let seed_report =
+             Engine.analyze (Engine.create ~params seed_model)
+           in
            Parallel.Pool.with_pool ~jobs (fun pool ->
                let e m = Engine.create ~params ~pool m in
                ( Engine.analyze (e target),
@@ -1199,7 +1211,9 @@ let test_seeded_rejects_non_dominating () =
           target.Model.bounds;
     }
   in
-  let seed_report = Holistic.analyze ~params:delta_params seed_model in
+  let seed_report =
+    Engine.analyze (Engine.create ~params:delta_params seed_model)
+  in
   Alcotest.(check bool) "harder seed still converged" true
     seed_report.Report.converged;
   let e = Engine.create ~params:delta_params target in
@@ -1209,12 +1223,15 @@ let test_seeded_rejects_non_dominating () =
       Alcotest.(check string) "cold reason" "seed-not-dominating" reason
   | Engine.Delta_warm _ -> Alcotest.fail "non-dominating seed was used");
   Alcotest.(check bool) "cold report returned" true
-    (same_verdict r (Holistic.analyze ~params:delta_params target));
+    (same_verdict r
+       (Engine.analyze (Engine.create ~params:delta_params target)));
   (* structure changes are their own reason: the squeeze argument needs
      the same transactions and chains on both sides *)
   match delta_perturbations target with
   | admit_like :: _ -> (
-      let seed_report = Holistic.analyze ~params:delta_params target in
+      let seed_report =
+        Engine.analyze (Engine.create ~params:delta_params target)
+      in
       match
         Engine.analyze_seeded
           (Engine.create ~params:delta_params admit_like)
@@ -1226,6 +1243,48 @@ let test_seeded_rejects_non_dominating () =
       | _, Engine.Delta_warm _ ->
           Alcotest.fail "structure mismatch was not rejected")
   | [] -> Alcotest.fail "no perturbations"
+
+(* A seed from another rate sits off the target's integer lattice: its
+   jitters carry the seed platform's denominators.  Such a seed is free
+   (every row dirty), so it must round down onto the lattice and stay on
+   the int kernel — a conversion that sent it to the rational path would
+   return the same report, only several times slower. *)
+let test_seeded_off_lattice_stays_on_kernel () =
+  let at alpha =
+    Model.make
+      ~bounds:[ LB.make ~alpha:(q alpha) ~delta:Q.zero ~beta:Q.zero ]
+      [
+        txn "A" "40" [ task "A.1" "3" "2" 0 2; task "A.2" "1" "1" 0 2 ];
+        txn "B" "30" [ task "B.1" "1" "1" 0 3 ];
+      ]
+  in
+  let target = at "0.5" and seed_model = at "0.8" in
+  let seed_report =
+    Engine.analyze (Engine.create ~params:delta_params seed_model)
+  in
+  let counters = Rta.counters () in
+  let e = Engine.create ~params:delta_params ~counters target in
+  let scale =
+    match Engine.kernel_scale e with
+    | Some s -> s
+    | None -> Alcotest.fail "target has no integer timeline"
+  in
+  Alcotest.(check bool) "seed jitters off the target lattice" true
+    (Array.exists
+       (Array.exists (fun (r : Report.task_result) ->
+            not (Q.is_integer Q.(r.Report.jitter * of_int scale))))
+       seed_report.Report.results);
+  let r, outcome = Engine.analyze_seeded e ~seed_model ~seed_report in
+  (match outcome with
+  | Engine.Delta_warm _ -> ()
+  | Engine.Delta_cold { reason } -> Alcotest.failf "ran cold: %s" reason);
+  Alcotest.(check int) "one kernel run" 1 (Rta.kernel_runs counters);
+  Alcotest.(check int) "no kernel fallback" 0 (Rta.kernel_fallbacks counters);
+  Alcotest.(check bool) "kernel still live" true
+    (Engine.kernel_scale e <> None);
+  Alcotest.(check bool) "cold report" true
+    (same_verdict r
+       (Engine.analyze (Engine.create ~params:delta_params target)))
 
 let () =
   Alcotest.run "analysis"
@@ -1320,5 +1379,7 @@ let () =
           Alcotest.test_case "dominance order" `Quick test_seeded_dominance;
           Alcotest.test_case "non-dominating seed runs cold" `Quick
             test_seeded_rejects_non_dominating;
+          Alcotest.test_case "off-lattice seed stays on the kernel" `Quick
+            test_seeded_off_lattice_stays_on_kernel;
         ] );
     ]

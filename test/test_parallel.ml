@@ -9,6 +9,7 @@ module P = Parallel.Pool
 module G = Workload.Gen
 module Model = Analysis.Model
 module Params = Analysis.Params
+module Engine = Analysis.Engine
 
 let check_q msg expected actual =
   Alcotest.(check string) msg (Q.to_string expected) (Q.to_string actual)
@@ -176,7 +177,7 @@ let sweep_against_direct memo m ~phi ~jit =
     (fun a (tx : Model.txn) ->
       Array.iteri
         (fun b _ ->
-          let cache = Analysis.Memo.cache memo ~a ~b ~slot:0 in
+          let cache = Analysis.Memo.cache memo ~a ~b in
           for i = 0 to Array.length m.Model.txns - 1 do
             let hp_list = Analysis.Interference.hp m ~i ~a ~b in
             if hp_list <> [] then
@@ -197,7 +198,7 @@ let sweep_against_direct memo m ~phi ~jit =
 let test_memo_values_and_stats () =
   let m = Hsched.Paper_example.model () in
   let phi = zeros m and jit = zeros m in
-  let memo = Analysis.Memo.create m ~slots:1 in
+  let memo = Analysis.Memo.create m in
   sweep_against_direct memo m ~phi ~jit;
   let s1 = Analysis.Memo.stats memo in
   Alcotest.(check bool) "first sweep misses" true (s1.Analysis.Memo.misses > 0);
@@ -220,14 +221,46 @@ let test_memo_transparent () =
   let m = Hsched.Paper_example.model () in
   List.iter
     (fun params ->
-      let on = Analysis.Holistic.analyze ~params m in
+      let on = Engine.analyze (Engine.create ~params m) in
       let off =
-        Analysis.Holistic.analyze
-          ~params:{ params with Params.memoize = false }
-          m
+        Engine.analyze
+          (Engine.create ~params:{ params with Params.memoize = false } m)
       in
       Alcotest.(check bool) "memo on/off reports equal" true (on = off))
     [ Params.default; Params.exact ]
+
+(* One cache per site: a site's lookups run on one domain in the order
+   its own enumeration makes them, so hit, miss and invalidation counts
+   depend on neither the job count nor on which slot ran the site. *)
+let test_memo_stats_job_independent () =
+  let spec =
+    { G.default_spec with G.n_resources = 1; n_txns = 4; max_tasks_per_txn = 5 }
+  in
+  let used = ref false in
+  List.iter
+    (fun seed ->
+      let m = Model.of_system (G.system ~seed spec) in
+      let stats jobs =
+        P.with_pool ~jobs (fun pool ->
+            let e = Engine.create ~params:Params.exact ~pool m in
+            ignore (Engine.analyze e);
+            Option.get (Engine.memo_stats e))
+      in
+      let s1 = stats 1 in
+      if s1.Analysis.Memo.hits > 0 then used := true;
+      List.iter
+        (fun jobs ->
+          let s = stats jobs in
+          let name what = Printf.sprintf "seed %d jobs %d %s" seed jobs what in
+          Alcotest.(check int) (name "hits") s1.Analysis.Memo.hits
+            s.Analysis.Memo.hits;
+          Alcotest.(check int) (name "misses") s1.Analysis.Memo.misses
+            s.Analysis.Memo.misses;
+          Alcotest.(check int) (name "invalidations")
+            s1.Analysis.Memo.invalidations s.Analysis.Memo.invalidations)
+        [ 2; 4 ])
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "the memo was consulted" true !used
 
 (* --- determinism across job counts --- *)
 
@@ -235,12 +268,12 @@ let test_paper_example_determinism () =
   let m = Hsched.Paper_example.model () in
   List.iter
     (fun params ->
-      let seq = Analysis.Holistic.analyze ~params m in
+      let seq = Engine.analyze (Engine.create ~params m) in
       List.iter
         (fun jobs ->
           let par =
             P.with_pool ~jobs (fun pool ->
-                Analysis.Holistic.analyze ~params ~pool m)
+                Engine.analyze (Engine.create ~params ~pool m))
           in
           Alcotest.(check bool)
             (Printf.sprintf "jobs %d report" jobs)
@@ -285,10 +318,10 @@ let determinism_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let agrees params =
-           let seq = Analysis.Holistic.analyze ~params m in
+           let seq = Engine.analyze (Engine.create ~params m) in
            let par =
              P.with_pool ~jobs:4 (fun pool ->
-                 Analysis.Holistic.analyze ~params ~pool m)
+                 Engine.analyze (Engine.create ~params ~pool m))
            in
            seq = par
          in
@@ -311,8 +344,10 @@ let steal_determinism_prop =
              List.map
                (fun jobs ->
                  P.with_pool ~jobs (fun pool ->
-                     Analysis.Holistic.analyze
-                       ~params:{ base with Params.steal } ~pool m))
+                     Engine.analyze
+                       (Engine.create
+                          ~params:{ base with Params.steal }
+                          ~pool m)))
                [ 1; 2; 4 ]
            in
            match reports true @ reports false with
@@ -350,6 +385,8 @@ let () =
           Alcotest.test_case "values and stats" `Quick test_memo_values_and_stats;
           Alcotest.test_case "transparent in the analysis" `Quick
             test_memo_transparent;
+          Alcotest.test_case "stats independent of the job count" `Quick
+            test_memo_stats_job_independent;
         ] );
       ( "determinism",
         [
