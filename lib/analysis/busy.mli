@@ -13,11 +13,7 @@ val fixpoint :
     values are equal ([Some w]) or the iterate exceeds [horizon]
     ([None]).
     @raise Invalid_argument if an iterate decreases, which would mean the
-    recurrence is not monotone (an internal error). *)
+    recurrence is not monotone (an internal error).
 
-val fixpoint_int : horizon:int -> (int -> int) -> int -> int option
-(** {!fixpoint} on a scaled integer timeline ({!Timebase}): iterates the
-    scaled recurrence until equality or past the scaled horizon.  On the
-    scaled images of a rational recurrence it visits exactly the scaled
-    rational iterates, so convergence, the fixed point and divergence
-    all coincide with {!fixpoint}. *)
+    This is {!Rta.Rat.fixpoint}: the per-site analysis holds the one
+    iteration both timelines run. *)

@@ -64,14 +64,11 @@ type t = {
   counters : Rta.counters;
   memo : Memo.t option;
   sink : sink option;
-  timebase : Timebase.t option;
-      (* the integer timeline, when [params.int_kernel] and the model
-         admits one — the value-dependent half of compilation, rebuilt
-         whenever the model or the horizon factor changes *)
   kernels : Kernels.t option;
-      (* the structure-of-arrays skeleton tables of the int kernels;
-         always present exactly when [timebase] is, and rebuilt with
-         it — skeletons embed the timebase's scaled constants *)
+      (* the integer timeline — timebase and skeleton tables — when
+         [params.int_kernel] and the model admits one: the
+         value-dependent half of compilation, rebuilt whenever the model
+         or the horizon factor changes *)
   kernel_poisoned : bool ref;
       (* set after a mid-analysis overflow: this model will overflow
          again, so later analyze calls skip straight to the rational
@@ -83,25 +80,23 @@ let emit t e = match t.sink with None -> () | Some f -> f e
 let memo_for model params =
   if params.Params.memoize then Some (Memo.create model) else None
 
-let timebase_for model params =
+let kernels_for model ir params =
   if params.Params.int_kernel then
-    Ir.timebase model ~horizon_factor:params.Params.horizon_factor
+    Timebase.of_model model ~horizon_factor:params.Params.horizon_factor
+    |> Option.map (Kernels.compile model ir)
   else None
-
-let kernels_for model ir timebase =
-  Option.map (fun tb -> Kernels.compile model ir tb) timebase
 
 let emit_kernel_verdict t =
   if t.params.Params.int_kernel then
-    match t.timebase with
-    | Some tb -> emit t (Kernel_compiled { scale = Timebase.scale tb })
+    match t.kernels with
+    | Some k ->
+        emit t (Kernel_compiled { scale = (Kernels.timebase k).Timebase.scale })
     | None -> emit t (Kernel_fallback { reason = "unrepresentable" })
 
 let create ?(params = Params.default) ?pool ?counters ?sink m =
   let pool = Option.value pool ~default:Parallel.Pool.sequential in
   let counters = match counters with Some c -> c | None -> Rta.counters () in
   let ir = Ir.compile m in
-  let timebase = timebase_for m params in
   let t =
     {
       ir;
@@ -111,8 +106,7 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
       counters;
       memo = memo_for m params;
       sink;
-      timebase;
-      kernels = kernels_for m ir timebase;
+      kernels = kernels_for m ir params;
       kernel_poisoned = ref false;
     }
   in
@@ -161,26 +155,14 @@ let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
   (* The timebase depends on the model and on the scaled horizon only;
      keep it — and the poison verdict, which is a property of the same
      pair — unless the kernel switch or the horizon factor changed. *)
-  let timebase, kernels, kernel_poisoned =
+  let kernels, kernel_poisoned =
     if
       params.Params.int_kernel = t.params.Params.int_kernel
       && params.Params.horizon_factor = t.params.Params.horizon_factor
-    then (t.timebase, t.kernels, t.kernel_poisoned)
-    else
-      let timebase = timebase_for t.model params in
-      (timebase, kernels_for t.model t.ir timebase, ref false)
+    then (t.kernels, t.kernel_poisoned)
+    else (kernels_for t.model t.ir params, ref false)
   in
-  {
-    t with
-    params;
-    pool;
-    counters;
-    sink;
-    memo;
-    timebase;
-    kernels;
-    kernel_poisoned;
-  }
+  { t with params; pool; counters; sink; memo; kernels; kernel_poisoned }
 
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
@@ -192,32 +174,18 @@ let with_model t m =
      scan is the dominant term and both a rebind and a fresh [create]
      pay it, so on small stores the two cost about the same — X11 bounds
      the gap instead of asserting a win. *)
-  let timebase = timebase_for m t.params in
   {
     t with
     ir;
     model = m;
     memo = memo_for m t.params;
-    timebase;
-    kernels = kernels_for m ir timebase;
+    kernels = kernels_for m ir t.params;
     kernel_poisoned = ref false;
   }
 
 let kernel_scale t =
-  if !(t.kernel_poisoned) then None else Option.map Timebase.scale t.timebase
-
-(* ------------------------------------------------------------------ *)
-(* Sub-analyses over a session                                         *)
-(* ------------------------------------------------------------------ *)
-
-let best_case t ~jit =
-  match t.params.Params.best_case with
-  | Params.Simple -> Best_case.simple t.model
-  | Params.Refined -> Best_case.refined t.model ~jit
-
-let response_time t ~phi ~jit ~a ~b =
-  Rta.response_time_site ?memo:t.memo ~counters:t.counters
-    (Ir.site t.ir ~a ~b) t.model t.params ~phi ~jit
+  if !(t.kernel_poisoned) then None
+  else Option.map (fun k -> (Kernels.timebase k).Timebase.scale) t.kernels
 
 (* ------------------------------------------------------------------ *)
 (* The holistic outer fixed point (Section 3.2)                        *)
@@ -240,95 +208,75 @@ let rows_equal equal a b =
   Array.iteri (fun i x -> if not (equal x b.(i)) then ok := false) a;
   !ok
 
-(* The number type the outer fixed point runs on: exact rationals
-   (['v = Q.t], ['r = Report.bound]) or the session's scaled-integer
-   lattice (['v = int], ['r = Rta.iresponse], see Timebase).  Every
-   integer operation is the exact image of the rational one under
+(* A timeline of the outer fixed point: the per-site analysis on its
+   number type, the model's constants on it, and the response of a site
+   under given offsets and jitters.  The instance on the session's
+   scaled-integer lattice is the exact image of the rational one under
    v ↦ v·scale, so [fixed_point] takes the same sweeps, convergence
    decisions and early exits on either timeline and reports the same
-   rationals.  On the integer timeline value arithmetic goes through
-   [Q.Checked], so an overflow anywhere — including inside a worker
-   domain, which the pool re-raises in the caller — surfaces as
-   [Q.Overflow] for [dispatch] to catch. *)
-type ('v, 'r) timeline = {
-  zero : 'v;
-  release_jitter : int -> 'v;  (* row 0 of transaction [a]'s jitters *)
-  jitter_of : 'r -> 'v -> 'v option;
-      (* [max 0 (r − rbest)], [None] when [r] diverged *)
-  equal : 'v -> 'v -> bool;
-  meets : int -> 'r -> bool;  (* transaction [a]'s deadline test *)
-  divergent : 'r;
-  to_q : 'v -> Q.t;
-  to_bound : 'r -> Report.bound;
-  of_q : floor:bool -> Q.t -> 'v;
-  of_bound : Report.bound -> 'r;
-  best : jit:'v array array -> 'v array array;
-  compute : Ir.site -> phi:'v array array -> jit:'v array array -> 'r;
+   rationals.  Scaled arithmetic is overflow-checked, so an overflow
+   anywhere — including inside a worker domain, which the pool re-raises
+   in the caller — surfaces as [Q.Overflow] for [dispatch] to catch. *)
+type 'v timeline = {
+  core : (module Rta.S with type t = 'v);
+  tb : 'v Timebase.t;
+  compute :
+    Ir.site -> phi:'v array array -> jit:'v array array -> 'v Report.outcome;
 }
 
+(* The demand curves are the one part compiled and evaluated per
+   timeline: from the memo when it is on and the curve has enough terms
+   to beat a lookup, compiled directly otherwise.  Tiny kernels are
+   cheaper to evaluate than to look up (a hashtable probe costs about as
+   much as folding a couple of hoisted terms); memoised values are
+   bit-identical to recomputation, so mixing the two cannot change a
+   response. *)
 let rational t =
   let m = t.model in
-  {
-    zero = Q.zero;
-    release_jitter = (fun a -> m.Model.release_jitter.(a));
-    jitter_of =
-      (fun r rb ->
-        match r with
-        | Report.Divergent -> None
-        | Report.Finite r -> Some (Q.max Q.zero Q.(r - rb)));
-    equal = Q.equal;
-    meets = (fun a r -> Report.bound_le r m.Model.txns.(a).Model.deadline);
-    divergent = Report.Divergent;
-    to_q = Fun.id;
-    to_bound = Fun.id;
-    of_q = (fun ~floor:_ q -> q);
-    of_bound = Fun.id;
-    best = (fun ~jit -> best_case t ~jit);
-    compute =
-      (fun site ~phi ~jit ->
-        Rta.response_time_site ?memo:t.memo ~counters:t.counters site m
-          t.params ~phi ~jit);
-  }
+  let tb =
+    Timebase.rational m ~horizon_factor:t.params.Params.horizon_factor
+  in
+  let compute (site : Ir.site) ~phi ~jit =
+    let a = site.Ir.a and b = site.Ir.b in
+    let cache = Option.map (fun memo -> Memo.cache memo ~a ~b) t.memo in
+    let curve ~i ~hp_list k =
+      match cache with
+      | Some c when List.compare_length_with hp_list Memo.min_terms >= 0 ->
+          Memo.evaluator c m ~phi ~jit ~i ~k ~hp_list ~a ~b
+      | _ ->
+          let kernel = Interference.compile ~hp_list m ~phi ~jit ~i ~k ~a ~b in
+          fun t -> Interference.eval kernel ~t
+    in
+    Rta.Rat.response ~counters:t.counters tb site t.params ~phi ~jit
+      ~own:(curve ~i:a ~hp_list:site.Ir.own_hp)
+      ~remote:(fun ri ->
+        let r = site.Ir.remotes.(ri) in
+        curve ~i:r.Ir.txn ~hp_list:r.Ir.hp_list)
+  in
+  { core = (module Rta.Rat); tb; compute }
 
-let scaled t tb =
-  let scale = Timebase.scale tb in
-  {
-    zero = 0;
-    release_jitter = (fun a -> tb.Timebase.srelease_jitter.(a));
-    jitter_of =
-      (fun r rb ->
-        match r with
-        | Rta.IDivergent -> None
-        | Rta.IFinite r -> Some (Stdlib.max 0 (Q.Checked.( - ) r rb)));
-    equal = Int.equal;
-    meets =
-      (fun a -> function
-        | Rta.IDivergent -> false
-        | Rta.IFinite v -> v <= tb.Timebase.sdeadline.(a));
-    divergent = Rta.IDivergent;
-    to_q = Timebase.to_q tb;
-    to_bound = Rta.iresponse_to_bound tb;
-    of_q =
-      (fun ~floor q ->
-        if floor then Q.floor Q.(q * of_int scale) else Q.to_scaled ~scale q);
-    of_bound =
-      (function
-      | Report.Finite r -> Rta.IFinite (Q.to_scaled ~scale r)
-      | Report.Divergent -> Rta.IDivergent);
-    best =
-      (match t.params.Params.best_case with
-      | Params.Simple -> fun ~jit:_ -> Best_case.simple_int tb
-      | Params.Refined ->
-          fun ~jit -> Best_case.refined_int t.model tb ~sjit:jit);
-    compute =
-      (fun site ~phi ~jit ->
-        Rta.response_time_site_int tb ?memo:t.memo ~counters:t.counters
-          ?kernels:
-            (Option.map
-               (fun kt -> Kernels.site kt ~a:site.Ir.a ~b:site.Ir.b)
-               t.kernels)
-          site t.params ~sphi:phi ~sjit:jit);
-  }
+let scaled t kernels =
+  let tb = Kernels.timebase kernels in
+  let compute (site : Ir.site) ~phi ~jit =
+    let kern = Kernels.site kernels ~a:site.Ir.a ~b:site.Ir.b in
+    let cache =
+      Option.map (fun memo -> Memo.cache memo ~a:site.Ir.a ~b:site.Ir.b) t.memo
+    in
+    let curve (sk : Interference.iskeleton) k =
+      match cache with
+      | Some c when Array.length sk.Interference.sk_js >= Memo.min_terms ->
+          Memo.evaluator_int c sk ~sphi:phi ~sjit:jit ~k
+      | _ ->
+          let kernel =
+            Interference.compile_skeleton sk ~sphi:phi ~sjit:jit ~k
+          in
+          fun t -> Interference.eval_int kernel ~t
+    in
+    Rta.Scaled.response ~counters:t.counters tb site t.params ~phi ~jit
+      ~own:(curve kern.Kernels.own)
+      ~remote:(fun ri -> curve kern.Kernels.remotes.(ri))
+  in
+  { core = (module Rta.Scaled); tb; compute }
 
 (* A warm start, planned by [Delta] or [Seeded] from a previous
    converged report: the sweep begins from the seeded jitter matrix
@@ -338,10 +286,10 @@ let scaled t tb =
    dependency rows (Ir.dirty_closure) — that is what makes the pinning
    exact, see docs/INCREMENTAL.md.  Plans build it on rationals; [start]
    moves it onto a timeline. *)
-type ('v, 'r) warm = {
+type 'v warm = {
   w_dirty : bool array;  (* per transaction, transitively closed *)
   w_jit : 'v array array;
-  w_resp : 'r array array;  (* only clean rows are ever read *)
+  w_resp : 'v Report.outcome array array;  (* only clean rows are ever read *)
 }
 
 (* The one lattice rule for warm starts.  A warm report may come from
@@ -355,18 +303,24 @@ type ('v, 'r) warm = {
    responses, never read, start divergent.  A delta plan's free rows
    sit at the cold bottom, which is on the lattice; a seeded plan's
    rows are all free. *)
-let start tl w =
+let start (type v) (tl : v timeline) w =
+  let module C = (val tl.core) in
+  let of_q = C.of_q ~scale:tl.tb.Timebase.scale in
   {
     w_dirty = w.w_dirty;
     w_jit =
       Array.mapi
-        (fun a row -> Array.map (tl.of_q ~floor:w.w_dirty.(a)) row)
+        (fun a row -> Array.map (of_q ~floor:w.w_dirty.(a)) row)
         w.w_jit;
     w_resp =
       Array.mapi
         (fun a row ->
-          if w.w_dirty.(a) then Array.map (fun _ -> tl.divergent) row
-          else Array.map tl.of_bound row)
+          Array.map
+            (function
+              | Report.Finite r when not w.w_dirty.(a) ->
+                  Report.Finite (of_q ~floor:false r)
+              | _ -> Report.Divergent)
+            row)
         w.w_resp;
   }
 
@@ -382,7 +336,7 @@ let start tl w =
    single-owner.  Site costs vary by orders of magnitude (1 to hundreds
    of scenarios), hence stealing.  Returns the responses and the
    recomputed count. *)
-let sweep t ~prev ~changed ~bottom ~compute =
+let sweep t ~prev ~changed ~compute =
   let sites = Ir.sites t.ir in
   let resp, carries =
     match prev with
@@ -397,7 +351,8 @@ let sweep t ~prev ~changed ~bottom ~compute =
             not !hit )
     | _ ->
         ( Array.map
-            (fun (tx : Model.txn) -> Array.map (fun _ -> bottom) tx.Model.tasks)
+            (fun (tx : Model.txn) ->
+              Array.map (fun _ -> Report.Divergent) tx.Model.tasks)
             t.model.Model.txns,
           fun _ -> false )
   in
@@ -421,19 +376,34 @@ let sweep t ~prev ~changed ~bottom ~compute =
       done);
   (resp, n)
 
-let fixed_point t tl ~warm =
-  let m = t.model and params = t.params in
+let fixed_point (type v) t (tl : v timeline) ~warm =
+  let module C = (val tl.core) in
+  let m = t.model and params = t.params and tb = tl.tb in
+  let to_q = C.to_q ~scale:tb.Timebase.scale in
+  let to_bound = function
+    | Report.Finite v -> Report.Finite (to_q v)
+    | Report.Divergent -> Report.Divergent
+  in
+  let meets a = function
+    | Report.Finite v -> C.compare v tb.Timebase.deadline.(a) <= 0
+    | Report.Divergent -> false
+  in
+  let best ~jit =
+    match params.Params.best_case with
+    | Params.Simple -> C.simple tb
+    | Params.Refined -> C.refined m tb ~jit
+  in
   emit t (Analysis_started { variant = params.Params.variant });
   let n = Model.n_txns m in
   let bottom_jitters () =
     Array.init n (fun a ->
-        let row = Array.make (Model.n_tasks m a) tl.zero in
-        row.(0) <- tl.release_jitter a;
+        let row = Array.make (Model.n_tasks m a) C.zero in
+        row.(0) <- tb.Timebase.release_jitter.(a);
         row)
   in
   let jit = match warm with Some w -> w.w_jit | None -> bottom_jitters () in
-  let rbest = ref (tl.best ~jit) in
-  let phi = ref (offsets_of m tl.zero !rbest) in
+  let rbest = ref (best ~jit) in
+  let phi = ref (offsets_of m C.zero !rbest) in
   (* Rows whose values changed in the latest jitter/offset update; all
      dirty before the first sweep so every task is computed once.  A
      warm start instead seeds exactly its dirty frontier: clean rows
@@ -448,7 +418,7 @@ let fixed_point t tl ~warm =
   let phi_dirty = Array.make n (Option.is_none warm) in
   let prev = ref (Option.map (fun w -> w.w_resp) warm) in
   let history = ref [] in
-  let responses = ref (Array.map (Array.map (fun _ -> tl.divergent)) jit) in
+  let responses = ref (Array.map (Array.map (fun _ -> Report.Divergent)) jit) in
   let diverged = ref false in
   let converged = ref false in
   let iterations = ref 0 in
@@ -459,7 +429,7 @@ let fixed_point t tl ~warm =
     incr iterations;
     let changed i = jit_dirty.(i) || phi_dirty.(i) in
     let resp, recomputed =
-      sweep t ~prev:!prev ~changed ~bottom:tl.divergent ~compute:(fun site ->
+      sweep t ~prev:!prev ~changed ~compute:(fun site ->
           tl.compute site ~phi:!phi ~jit)
     in
     let carried = Ir.n_tasks t.ir - recomputed in
@@ -469,8 +439,8 @@ let fixed_point t tl ~warm =
     if params.Params.keep_history then
       history :=
         {
-          Report.jitters = Array.map (Array.map tl.to_q) jit;
-          responses = Array.map (Array.map tl.to_bound) resp;
+          Report.jitters = Array.map (Array.map to_q) jit;
+          responses = Array.map (Array.map to_bound) resp;
         }
         :: !history;
     (* With the Simple best case the offsets are constant and the
@@ -482,7 +452,7 @@ let fixed_point t tl ~warm =
     then begin
       let hopeless = ref false in
       for a = 0 to n - 1 do
-        if not (tl.meets a resp.(a).(Model.n_tasks m a - 1)) then
+        if not (meets a resp.(a).(Model.n_tasks m a - 1)) then
           hopeless := true
       done;
       if !hopeless then diverged := true
@@ -492,9 +462,12 @@ let fixed_point t tl ~warm =
     (try
        for a = 0 to n - 1 do
          for b = 1 to Model.n_tasks m a - 1 do
-           match tl.jitter_of resp.(a).(b - 1) !rbest.(a).(b - 1) with
-           | None -> raise Exit
-           | Some j -> next.(a).(b) <- j
+           match resp.(a).(b - 1) with
+           | Report.Divergent -> raise Exit
+           | Report.Finite r ->
+               let rb = !rbest.(a).(b - 1) in
+               let j = C.(r - rb) in
+               next.(a).(b) <- (if C.compare j C.zero > 0 then j else C.zero)
          done
        done
      with Exit -> diverged := true);
@@ -504,7 +477,7 @@ let fixed_point t tl ~warm =
       let same = ref true in
       for a = 0 to n - 1 do
         for b = 0 to Model.n_tasks m a - 1 do
-          if not (tl.equal next.(a).(b) jit.(a).(b)) then begin
+          if not (C.equal next.(a).(b) jit.(a).(b)) then begin
             same := false;
             jit_dirty.(a) <- true
           end
@@ -519,10 +492,10 @@ let fixed_point t tl ~warm =
            the offsets it seeds. *)
         if params.Params.best_case = Params.Refined then begin
           let old_phi = !phi in
-          rbest := tl.best ~jit;
-          phi := offsets_of m tl.zero !rbest;
+          rbest := best ~jit;
+          phi := offsets_of m C.zero !rbest;
           for i = 0 to n - 1 do
-            if not (rows_equal tl.equal old_phi.(i) !phi.(i)) then
+            if not (rows_equal C.equal old_phi.(i) !phi.(i)) then
               phi_dirty.(i) <- true
           done
         end
@@ -533,10 +506,10 @@ let fixed_point t tl ~warm =
     Array.init n (fun a ->
         Array.init (Model.n_tasks m a) (fun b ->
             {
-              Report.offset = tl.to_q !phi.(a).(b);
-              jitter = tl.to_q jit.(a).(b);
-              rbest = tl.to_q !rbest.(a).(b);
-              response = tl.to_bound !responses.(a).(b);
+              Report.offset = to_q !phi.(a).(b);
+              jitter = to_q jit.(a).(b);
+              rbest = to_q !rbest.(a).(b);
+              response = to_bound !responses.(a).(b);
             }))
   in
   let schedulable =
@@ -544,7 +517,7 @@ let fixed_point t tl ~warm =
     &&
     let ok = ref true in
     for a = 0 to n - 1 do
-      if not (tl.meets a !responses.(a).(Model.n_tasks m a - 1)) then
+      if not (meets a !responses.(a).(Model.n_tasks m a - 1)) then
         ok := false
     done;
     !ok
@@ -566,9 +539,9 @@ let dispatch t warm =
     let tl = rational t in
     fixed_point t tl ~warm:(Option.map (start tl) warm)
   in
-  match t.timebase with
-  | Some tb when not !(t.kernel_poisoned) -> (
-      let tl = scaled t tb in
+  match t.kernels with
+  | Some kernels when not !(t.kernel_poisoned) -> (
+      let tl = scaled t kernels in
       match Option.map (start tl) warm with
       | exception Q.Overflow -> on_rationals ()
       | warm -> (
@@ -611,7 +584,7 @@ type delta_outcome =
 
 module Delta = struct
   type plan = {
-    warm : (Q.t, Report.bound) warm;
+    warm : Q.t warm;
     dirty_tasks : int;
     total_tasks : int;
   }

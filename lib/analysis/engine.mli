@@ -99,7 +99,7 @@ val create :
     Emits [Compiled] to [sink], followed — when
     [params.{!Params.int_kernel}] — by [Kernel_compiled] or
     [Kernel_fallback] according to whether the model admits an integer
-    timebase ({!Ir.timebase}).  The session does not own the pool;
+    timebase ({!Timebase.of_model}).  The session does not own the pool;
     shut it down where it was created. *)
 
 val create_system :
@@ -317,20 +317,6 @@ val analyze_seeded :
     [verdict_only]; report-returning probes (region corner samples)
     use the default.  Counted by {!Rta.delta_runs} /
     {!Rta.delta_fallbacks} alongside delta re-analysis. *)
-
-val response_time :
-  t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  a:int ->
-  b:int ->
-  Report.bound
-(** Single response time under explicit offsets and jitters
-    ({!Rta.response_time_site} on the compiled site). *)
-
-val best_case : t -> jit:Rational.t array array -> Rational.t array array
-(** The session's best-case bound ({!Params.best_case} dispatches
-    between {!Best_case.simple} and {!Best_case.refined}). *)
 
 (** {1 Classical baselines}
 

@@ -1,43 +1,22 @@
 module Q = Rational
 
-let hp m ~i ~a ~b =
-  let target = Model.task m a b in
-  let out = ref [] in
-  Array.iteri
-    (fun j (tk : Model.task) ->
-      let is_self = i = a && j = b in
-      if
-        (not is_self)
-        && tk.Model.res = target.Model.res
-        && tk.Model.prio >= target.Model.prio
-      then out := j :: !out)
-    m.Model.txns.(i).Model.tasks;
-  List.rev !out
-
-let reduced_offset m ~phi ~i ~j =
-  Q.fmod phi.(i).(j) m.Model.txns.(i).Model.period
+let hp = Ir.hp
 
 let phase m ~phi ~jit ~i ~k ~j =
-  let ti = m.Model.txns.(i).Model.period in
-  let pk = reduced_offset m ~phi ~i ~j:k and pj = reduced_offset m ~phi ~i ~j in
-  Q.(ti - fmod (pk + jit.(i).(k) - pj) ti)
+  Rta.Rat.phase ~period:m.Model.txns.(i).Model.period ~phi ~jit ~i ~k ~j
 
-let jobs ~jitter ~phase ~period ~t =
-  let delayed = Q.floor Q.((jitter + phase) / period) in
-  (* For t > 0 the ceiling is >= 0 since phase <= period; clamping makes
-     the evaluation at t = 0 equal to the t -> 0+ limit, so fixed-point
-     iterations seeded at 0 count the jobs released at the critical
-     instant instead of stalling. *)
-  let inside = Stdlib.max 0 (Q.ceil Q.((t - phase) / period)) in
-  Stdlib.max 0 (delayed + inside)
+let jobs = Rta.Rat.jobs
 
 (* A compiled demand curve: the phase, period and platform-scaled cost
    of every interfering task are constants of one (phi, jit) assignment,
-   so they are hoisted out of the busy-period fixed points, which
-   evaluate the curve at many points t.  Values are canonical rationals,
-   so [eval] returns exactly what the uncompiled fold would: (n·C)/α and
-   n·(C/α) normalise to the same representation. *)
-type term = { jitter : Q.t; ph : Q.t; period : Q.t; scaled_c : Q.t }
+   and so is the t-independent ⌊(J + ϕ)/T⌋ term of [jobs]; they are
+   hoisted out of the busy-period fixed points, which evaluate the curve
+   at many points t.  Values are canonical rationals, so [eval] returns
+   exactly what the uncompiled fold would: (n·C)/α and n·(C/α) normalise
+   to the same representation.  [eval] is [jobs] written out by hand:
+   it is the innermost loop of the rational path, where a call through
+   the functor instance would not be inlined. *)
+type term = { ph : Q.t; delayed : int; period : Q.t; scaled_c : Q.t }
 
 type kernel = term array
 
@@ -50,9 +29,10 @@ let compile ?hp_list m ~phi ~jit ~i ~k ~a ~b =
     (List.map
        (fun j ->
          let tk = Model.task m i j in
+         let ph = phase m ~phi ~jit ~i ~k ~j in
          {
-           jitter = jit.(i).(j);
-           ph = phase m ~phi ~jit ~i ~k ~j;
+           ph;
+           delayed = Q.floor Q.((jit.(i).(j) + ph) / ti);
            period = ti;
            scaled_c = Q.(tk.Model.c / alpha);
          })
@@ -60,38 +40,28 @@ let compile ?hp_list m ~phi ~jit ~i ~k ~a ~b =
 
 let eval kernel ~t =
   Array.fold_left
-    (fun acc { jitter; ph; period; scaled_c } ->
-      let n = jobs ~jitter ~phase:ph ~period ~t in
+    (fun acc { ph; delayed; period; scaled_c } ->
+      let inside = Stdlib.max 0 (Q.ceil Q.((t - ph) / period)) in
+      let n = Stdlib.max 0 (delayed + inside) in
       Q.(acc + (of_int n * scaled_c)))
     Q.zero kernel
 
 let contribution ?hp_list m ~phi ~jit ~i ~k ~a ~b ~t =
   eval (compile ?hp_list m ~phi ~jit ~i ~k ~a ~b) ~t
 
-(* ------------------------------------------------------------------ *)
-(* Integer timeline twins (see Timebase)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The same equations on scaled numerators.  Quotients appear only under
+(* The int demand curve, hand-specialised: quotients appear only under
    floor/ceil, whose results are plain job counts; everything else is
    overflow-checked int arithmetic, so either a value is bit-exact or
    Rational.Overflow aborts the kernel and the engine falls back. *)
 
+(* ⌈x/y⌉ and x mod y ≥ 0 for y > 0.  [Timebase.Scaled.ceil_div] is the
+   same ceiling; this copy keeps the innermost loop's call local, which
+   is a direct call even where cross-module calls are not. *)
+let iceil_div x y = if x > 0 then 1 + ((x - 1) / y) else -(-x / y)
+
 let imod x y =
   let r = x mod y in
   if r < 0 then r + y else r
-
-let iceil_div x y = if x > 0 then 1 + ((x - 1) / y) else -(-x / y)
-
-let phase_int (tb : Timebase.t) ~sphi ~sjit ~i ~k ~j =
-  let ti = tb.Timebase.speriod.(i) in
-  let pk = imod sphi.(i).(k) ti and pj = imod sphi.(i).(j) ti in
-  Q.Checked.(ti - imod (pk + sjit.(i).(k) - pj) ti)
-
-let jobs_int ~jitter ~phase ~period ~t =
-  let delayed = (jitter + phase) / period in
-  let inside = Stdlib.max 0 (iceil_div (t - phase) period) in
-  Stdlib.max 0 (delayed + inside)
 
 (* The value-independent skeleton of an int demand curve: everything
    about transaction [i]'s interfering set that survives jitter/offset
@@ -106,13 +76,13 @@ type iskeleton = {
   sk_costs : int array;
 }
 
-let iskeleton (tb : Timebase.t) ~i ~hp_list =
+let iskeleton (tb : int Timebase.t) ~i ~hp_list =
   let js = Array.of_list hp_list in
   {
     sk_txn = i;
     sk_js = js;
-    sk_period = tb.Timebase.speriod.(i);
-    sk_costs = Array.map (fun j -> tb.Timebase.sc.(i).(j)) js;
+    sk_period = tb.Timebase.period.(i);
+    sk_costs = Array.map (fun j -> tb.Timebase.c.(i).(j)) js;
   }
 
 (* A compiled int demand curve in structure-of-arrays layout: the inner
@@ -140,14 +110,11 @@ let compile_skeleton sk ~sphi ~sjit ~k =
     let pj = imod prow.(j) ti in
     let ph = Q.Checked.(ti - imod (pk + jk - pj) ti) in
     phase.(idx) <- ph;
-    (* (jitter + phase) / period, exactly [jobs_int]'s unchecked
-       delayed-jobs term — both operands fit the timebase headroom *)
+    (* ⌊(jitter + phase)/period⌋ of [jobs], unchecked: both operands
+       are non-negative and fit the timebase headroom *)
     delayed.(idx) <- (jrow.(j) + ph) / ti
   done;
   { ik_period = ti; ik_phase = phase; ik_delayed = delayed; ik_cost = sk.sk_costs }
-
-let compile_int (tb : Timebase.t) ~hp_list ~sphi ~sjit ~i ~k =
-  compile_skeleton (iskeleton tb ~i ~hp_list) ~sphi ~sjit ~k
 
 let eval_int (kernel : ikernel) ~t =
   let acc = ref 0 in

@@ -7,10 +7,8 @@
     under analysis — only tasks on that platform interfere (Eq. 17). *)
 
 val hp : Model.t -> i:int -> a:int -> b:int -> int list
-(** Indices of the tasks of transaction [i] that can interfere with task
-    [(a, b)]: same platform and priority at least [prio (a, b)] (Eq. 17).
-    The task under analysis itself is excluded — its own jobs enter the
-    recurrences through the dedicated [(p - p0 + 1)] term. *)
+(** {!Ir.hp}: the tasks of transaction [i] that can interfere with task
+    [(a, b)] (Eq. 17). *)
 
 val phase :
   Model.t ->
@@ -22,7 +20,8 @@ val phase :
   Rational.t
 (** ϕ{^k}{_i,j} (Eq. 10): first activation of τ{_i,j} after the start of
     a busy period initiated by τ{_i,k} released at its maximum jitter.
-    The result lies in (0, T{_i}]. *)
+    The result lies in (0, T{_i}].  {!Rta.Rat.phase} at the period of
+    transaction [i]. *)
 
 val jobs :
   jitter:Rational.t ->
@@ -32,7 +31,7 @@ val jobs :
   int
 (** Number of jobs contributing to a busy period of length [t]:
     ⌊(J + ϕ)/T⌋ delayed jobs released at the start plus ⌈(t − ϕ)/T⌉
-    jobs activated inside (Eq. 8), clamped at 0. *)
+    jobs activated inside (Eq. 8), clamped at 0 — {!Rta.Rat.jobs}. *)
 
 type kernel
 (** A compiled demand curve W{^k}{_i}(τ{_a,b}, ·): per interfering task,
@@ -59,7 +58,9 @@ val compile :
 val eval : kernel -> t:Rational.t -> Rational.t
 (** [eval kernel ~t] is exactly [contribution ~t] of the assignment the
     kernel was compiled from — canonical rationals make the hoisted and
-    direct computations bit-identical. *)
+    direct computations bit-identical.  It writes {!jobs} out by hand:
+    this is the innermost loop of the rational path, and without flambda
+    a call into the {!Rta.Make} instance is never inlined. *)
 
 val contribution :
   ?hp_list:int list ->
@@ -78,32 +79,15 @@ val contribution :
     short-circuits the {!hp} computation when the caller already holds
     it (the fixed-point loops evaluate W at many points). *)
 
-(** {1 Integer timeline twins}
+(** {1 Integer demand curves}
 
-    The same terms on the scaled numerators of a {!Timebase.t}.  Each
-    twin computes exactly the scaled image of its rational counterpart
-    (quotients only ever appear under floors and ceilings, which are
-    scale-invariant job counts), or raises [Rational.Overflow] when an
-    intermediate leaves native-int range — the engine's cue to fall back
-    to the rational path. *)
-
-val iceil_div : int -> int -> int
-(** [iceil_div x y] for [y > 0] is ⌈x/y⌉ — the int-division form of
-    [Rational.ceil (x/y)] the twins use for job counts. *)
-
-val phase_int :
-  Timebase.t ->
-  sphi:int array array ->
-  sjit:int array array ->
-  i:int ->
-  k:int ->
-  j:int ->
-  int
-(** Scaled {!phase}. *)
-
-val jobs_int : jitter:int -> phase:int -> period:int -> t:int -> int
-(** {!jobs} on scaled arguments — identical result (job counts are
-    dimensionless). *)
+    The scaled-int form of {!compile} and {!eval} over a
+    {!Timebase.t}, hand-specialised for the same reason as {!eval}: a
+    compiled curve evaluates to exactly the scaled image of its rational
+    counterpart (quotients only ever appear under floors and ceilings,
+    which are scale-invariant job counts), or raises
+    [Rational.Overflow] when an intermediate leaves native-int range —
+    the engine's cue to fall back to the rational path. *)
 
 type iskeleton = {
   sk_txn : int;  (** transaction index [i] *)
@@ -116,7 +100,7 @@ type iskeleton = {
     Compiled once per engine session ({!Kernels}); per-sweep kernel
     compilation then only computes phases. *)
 
-val iskeleton : Timebase.t -> i:int -> hp_list:int list -> iskeleton
+val iskeleton : int Timebase.t -> i:int -> hp_list:int list -> iskeleton
 (** Flatten transaction [i]'s interfering set against the timebase. *)
 
 type ikernel
@@ -132,22 +116,8 @@ val compile_skeleton :
     delayed-jobs terms) are computed; indices, period and costs come
     from the skeleton. *)
 
-val compile_int :
-  Timebase.t ->
-  hp_list:int list ->
-  sphi:int array array ->
-  sjit:int array array ->
-  i:int ->
-  k:int ->
-  ikernel
-(** Scaled {!compile}: {!iskeleton} followed by {!compile_skeleton},
-    for callers without a precompiled skeleton.  [hp_list] is
-    mandatory: the callers always hold the compiled {!Ir} participant
-    sets, and the scaled costs of the timebase are already
-    platform-transformed, so no task under analysis is needed. *)
-
 val eval_int : ikernel -> t:int -> int
-(** Scaled {!eval}: [eval_int (compile_int …) ~t:(v·L)] is exactly
+(** Scaled {!eval}: [eval_int (compile_skeleton …) ~t:(v·L)] is exactly
     [(eval (compile …) ~t:v) · L]. *)
 
 val w_star :

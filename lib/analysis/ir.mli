@@ -11,12 +11,18 @@
     structure — the property design-space probes exploit through
     {!Engine.with_model} (see {!compatible}). *)
 
+val hp : Model.t -> i:int -> a:int -> b:int -> int list
+(** Indices of the tasks of transaction [i] that can interfere with task
+    [(a, b)]: same platform and priority at least [prio (a, b)] (Eq. 17).
+    The task under analysis itself is excluded — its own jobs enter the
+    recurrences through the dedicated [(p - p0 + 1)] term. *)
+
 type remote = {
   txn : int;  (** remote transaction index [i] *)
   choices : int array;  (** its interfering tasks — the digit values of
                             the mixed-radix scenario index *)
-  hp_list : int list;  (** the same set as a list, in {!Interference.hp}
-                           order, for kernel compilation *)
+  hp_list : int list;  (** the same set as a list, in {!hp} order,
+                           for kernel compilation *)
 }
 
 type site = {
@@ -38,7 +44,7 @@ type site = {
           jitter row of transaction [i] — the incremental outer fixed
           point's dependency row *)
 }
-(** Everything {!Rta.response_time_site} needs about one task under
+(** Everything {!Rta.S.response} needs about one task under
     analysis. *)
 
 exception Scenario_space_too_large of { a : int; b : int }
@@ -58,7 +64,7 @@ val exact_total : site -> int
 type t
 
 val compile : Model.t -> t
-(** Compile every site of the model.  Cost is one {!Interference.hp}
+(** Compile every site of the model.  Cost is one {!hp}
     sweep per (task, transaction) pair, paid once per session instead
     of once per outer iteration. *)
 
@@ -81,14 +87,6 @@ val exact_scenarios : t -> int
 (** Σ over sites of (own initiators × remote scenarios) — the size of
     the space the exact variant examines, as reported by session
     compilation events; [max_int] when that sum does not fit. *)
-
-val timebase : Model.t -> horizon_factor:int -> Timebase.t option
-(** The value-dependent half of session compilation: the scaled-int
-    constant tables of the integer timeline kernels ({!Timebase.of_model}).
-    Kept outside {!t} on purpose — the IR is shared across every
-    {!compatible} model precisely because it never reads the numeric
-    constants the timebase is made of, so {!Engine} compiles and rebinds
-    the two independently. *)
 
 val compatible : t -> Model.t -> bool
 (** [compatible t m] iff [m] has the same transaction/task shape and

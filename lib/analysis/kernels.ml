@@ -31,7 +31,7 @@ let of_site tb (s : Ir.site) =
   }
 
 type t = {
-  tb : Timebase.t;
+  tb : int Timebase.t;
   ir : Ir.t;
   sites : site option array array; (* [a].[b], filled on first use *)
 }
@@ -51,3 +51,5 @@ let site t ~a ~b =
       let s = of_site t.tb (Ir.site t.ir ~a ~b) in
       t.sites.(a).(b) <- Some s;
       s
+
+let timebase t = t.tb

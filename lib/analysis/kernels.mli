@@ -5,8 +5,8 @@
     The skeletons hold everything about an int demand curve that the
     jitter/offset sweeps cannot change — task indices, shared scaled
     period, scaled costs — as flat int arrays.  {!Engine} carries one
-    table per session, together with the {!Timebase.t} it is scaled by
-    (and replaces both on {!Engine.with_model}); the inner fixed-point
+    table per session, holding the {!Timebase.t} it is scaled by (and
+    replaces it on {!Engine.with_model}); the inner fixed-point
     loops then walk contiguous memory, and per-sweep kernel
     compilation ({!Interference.compile_skeleton}) computes only the
     phases.
@@ -14,9 +14,8 @@
     Sites are flattened lazily on first {!site} access and cached, so
     creating a table is O(tasks) allocation and a warm delta
     re-analysis only ever flattens its dirty frontier.  The fill is
-    not synchronised: {!site} must be called from the session's main
-    domain (the sweep loop does, before dispatching a site's scenario
-    space to the pool). *)
+    not synchronised: a site must be resolved only by the slot that
+    computes it, as the sweeps of {!Engine} do. *)
 
 type site = {
   own : Interference.iskeleton;
@@ -27,14 +26,12 @@ type site = {
 
 type t
 
-val of_site : Timebase.t -> Ir.site -> site
-(** Flatten one site's interfering sets — the fallback
-    {!Rta.response_time_site_int} uses when called without a session's
-    precompiled tables. *)
-
-val compile : Model.t -> Ir.t -> Timebase.t -> t
+val compile : Model.t -> Ir.t -> int Timebase.t -> t
 (** An empty table over the model's sites, each flattened on first
     access.  Valid exactly as long as the timebase is: any model
     rebind replaces both. *)
 
 val site : t -> a:int -> b:int -> site
+
+val timebase : t -> int Timebase.t
+(** The timebase the table was compiled against. *)

@@ -1,6 +1,8 @@
 module Q = Rational
 
-type bound = Finite of Q.t | Divergent
+type 'v outcome = Finite of 'v | Divergent
+
+type bound = Q.t outcome
 
 type task_result = {
   offset : Q.t;

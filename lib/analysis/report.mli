@@ -5,7 +5,11 @@
     busy-period recurrence exceeded the divergence horizon (platform
     overload). *)
 
-type bound = Finite of Rational.t | Divergent
+type 'v outcome = Finite of 'v | Divergent
+(** A response on either timeline of the analysis ({!Timebase}):
+    rationals, or the scaled ints of an integer timebase. *)
+
+type bound = Rational.t outcome
 
 type task_result = {
   offset : Rational.t;  (** φ{_i,j} at the fixed point *)

@@ -58,8 +58,8 @@ val bound_evaluations : counters -> int
 (** Optimistic block bounds computed (the overhead side of pruning). *)
 
 val kernel_runs : counters -> int
-(** Analyses the engine started on the integer timeline kernel
-    ({!response_time_site_int}), whether or not they completed there. *)
+(** Analyses the engine started on the integer timeline ({!Scaled}),
+    whether or not they completed there. *)
 
 val kernel_fallbacks : counters -> int
 (** Kernel analyses aborted by a mid-analysis overflow and rerun on the
@@ -86,66 +86,84 @@ val record_delta_run : counters -> unit
 val record_delta_fallback : counters -> unit
 (** Bumped by {!Engine.analyze_delta} when a warm run falls back. *)
 
-val response_time_site :
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  Ir.site ->
-  Model.t ->
-  Params.t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  Report.bound
-(** Response time of the task the {!Ir.site} was compiled for, reading
-    the participant sets and the mixed-radix scenario layout from the
-    site instead of recomputing them — the entry point every
-    {!Engine} session uses.  The site must come from an IR
-    {!Ir.compatible} with [m].
-
-    [memo] caches interference evaluations across calls — see {!Memo};
-    the call only touches the memo's cache of the site's task, so calls
-    on distinct sites need no synchronisation.
-    [counters], when given, is bumped with this call's scenario
-    accounting.
-    @raise Ir.Scenario_space_too_large under [Exact] when the site's
-    scenario space exceeds [max_int]. *)
-
-(** {1 Integer timeline twin} *)
-
-type iresponse = IFinite of int | IDivergent
-    (** A response on the scaled integer timeline: the scaled numerator
-        of the rational bound, or divergence (detected at exactly the
-        scaled horizon, hence in exactly the cases the rational path
-        detects it). *)
-
-val iresponse_to_bound : Timebase.t -> iresponse -> Report.bound
-(** Back to the report domain: [IFinite v] is the normalised rational
-    [v / scale]. *)
-
-val response_time_site_int :
-  Timebase.t ->
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  ?kernels:Kernels.site ->
-  Ir.site ->
-  Params.t ->
-  sphi:int array array ->
-  sjit:int array array ->
-  iresponse
-(** {!response_time_site} on the integer timeline: same scenario
-    enumeration (including branch-and-bound pruning), all inner fixed
-    points on scaled native ints.
-    [sphi]/[sjit] are the scaled offset and jitter matrices.  The result
-    is the exact scaled image of the rational bound; any intermediate
-    overflow raises [Rational.Overflow], which {!Engine.analyze} turns
-    into a rational-path fallback.  [counters] accounting (total /
-    visited / pruned / bounds) is bumped exactly as the rational path
-    would.  [kernels] supplies the site's precompiled
-    {!Kernels.site} skeleton table (an {!Engine} session compiles one
-    per timebase); without it the skeletons are flattened on the fly —
-    same result, more allocation. *)
-
 val scenario_count : Model.t -> Params.t -> a:int -> b:int -> int
 (** Number of scenarios the chosen variant examines for task [(a, b)]
     (Eq. 12 for [Exact]; [N_a + 1] for [Reduced]).
     @raise Ir.Scenario_space_too_large under [Exact] when the remote
     scenario space exceeds [max_int]. *)
+
+(** {1 The per-site analysis}
+
+    Written once over a {!Timebase.TIME} number type and instantiated
+    for both timelines: {!Rat} on exact rationals, {!Scaled} on the
+    overflow-checked scaled ints of an integer timebase.  Every scaled
+    step is the exact image of the rational one, so the two instances
+    take the same branches and return the same bounds (scaled), or the
+    scaled one raises [Rational.Overflow] — the engine's cue to rerun on
+    rationals.  Only the demand curves differ per timeline: they are
+    compiled and evaluated by hand-specialised code
+    ({!Interference.eval} and {!Interference.eval_int}), because without
+    flambda a functor argument is never inlined into the innermost
+    loop. *)
+module type S = sig
+  include Timebase.TIME
+
+  val fixpoint : horizon:t -> (t -> t) -> t -> t option
+  (** [fixpoint ~horizon f w0] iterates the busy-period recurrence [f]
+      from [w0] until two consecutive values are equal ([Some w]) or
+      the iterate exceeds [horizon] ([None]).
+      @raise Invalid_argument if an iterate decreases. *)
+
+  val phase :
+    period:t ->
+    phi:t array array ->
+    jit:t array array ->
+    i:int ->
+    k:int ->
+    j:int ->
+    t
+  (** ϕ{^k}{_i,j} (Eq. 10) for transaction [i] of the given period: the
+      first activation of τ{_i,j} after the start of a busy period
+      initiated by τ{_i,k} released at its maximum jitter, in (0, T{_i}].
+      Offsets may exceed the period; they are reduced modulo it. *)
+
+  val jobs : jitter:t -> phase:t -> period:t -> t:t -> int
+  (** ⌊(J + ϕ)/T⌋ delayed jobs plus ⌈(t − ϕ)/T⌉ jobs activated inside a
+      busy period of length [t] (Eq. 8), clamped at 0. *)
+
+  val simple : t Timebase.t -> t array array
+  (** The paper's best-case bound: cumulative [max 0 (Cb/α − β)] along
+      each chain (see {!Best_case.simple}). *)
+
+  val refined : Model.t -> t Timebase.t -> jit:t array array -> t array array
+  (** The Redell-style best case under jitters [jit] (see
+      {!Best_case.refined}); the model supplies the participant sets
+      only. *)
+
+  val response :
+    ?counters:counters ->
+    t Timebase.t ->
+    Ir.site ->
+    Params.t ->
+    phi:t array array ->
+    jit:t array array ->
+    own:(int -> t -> t) ->
+    remote:(int -> int -> t -> t) ->
+    t Report.outcome
+  (** The response time of the site's task under offsets [phi] and
+      jitters [jit], maximised over the scenarios of
+      [params.variant] (with branch and bound under [params.prune]).
+      [own c] is the own transaction's demand curve W{^c}{_a} when
+      τ{_a,c} initiates, [remote ri k] that of the site's remote [ri]
+      when its task [k] initiates; each is requested once per call.
+      [counters], when given, is bumped with this call's scenario
+      accounting.
+      @raise Ir.Scenario_space_too_large under [Exact] when the site's
+      scenario space exceeds [max_int]. *)
+end
+
+module Make (T : Timebase.TIME) : S with type t = T.t
+
+module Rat : S with type t = Rational.t
+
+module Scaled : S with type t = int

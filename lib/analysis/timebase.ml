@@ -1,27 +1,101 @@
 module Q = Rational
 
-(* The integer timeline of a model: every rational the analysis can
-   reach — periods, deadlines, release jitters, blocking terms, the
-   platform-transformed demands C/α and Cb/α, the supply latencies Δ and
-   offsets β — lies on the lattice (1/scale)·Z where [scale] is the lcm
-   of their denominators.  The recurrences of the holistic analysis
-   (phases, busy periods, jitters, offsets) only add, subtract and
-   integer-multiply lattice values, so they stay on the lattice: running
-   them on the scaled numerators with int arithmetic is exact (see
-   docs/THEORY.md).  The scaled constants are precomputed here, once per
-   engine session. *)
+(* The number types the per-site analysis runs on ({!Rta.Make}): exact
+   rationals, or the scaled numerators of an integer timebase.  The
+   recurrences of the holistic analysis (phases, busy periods, jitters,
+   offsets) only add, subtract and integer-multiply timeline values and
+   take floors and ceilings of their quotients, which are plain job
+   counts — so these operations are all an instance needs. *)
+module type TIME = sig
+  type t
 
-type t = {
+  val zero : t
+  val ( + ) : t -> t -> t
+  val ( - ) : t -> t -> t
+  val mul : int -> t -> t
+  val floor_div : t -> t -> int
+  val ceil_div : t -> t -> int
+  val compare : t -> t -> int
+  val equal : t -> t -> bool
+  val to_q : scale:int -> t -> Q.t
+  val of_q : scale:int -> floor:bool -> Q.t -> t
+end
+
+module Rat = struct
+  type t = Q.t
+
+  let zero = Q.zero
+  let ( + ) = Q.add
+  let ( - ) = Q.sub
+  let mul n x = Q.(of_int n * x)
+  let floor_div x y = Q.floor Q.(x / y)
+  let ceil_div x y = Q.ceil Q.(x / y)
+  let compare = Q.compare
+  let equal = Q.equal
+  let to_q ~scale:_ v = v
+  let of_q ~scale:_ ~floor:_ q = q
+end
+
+(* Quotients are only taken by positive scaled periods, so division
+   needs no check; every other step raises [Q.Overflow] instead of
+   wrapping — the engine's cue to fall back to rationals. *)
+module Scaled = struct
+  type t = int
+
+  let zero = 0
+  let ( + ) = Q.Checked.( + )
+  let ( - ) = Q.Checked.( - )
+  let mul = Q.Checked.( * )
+  let ceil_div x y = if x > 0 then 1 + ((x - 1) / y) else -(-x / y)
+  let floor_div x y = -ceil_div (-x) y
+  let compare = Int.compare
+  let equal = Int.equal
+  let to_q ~scale v = Q.of_scaled ~scale v
+
+  let of_q ~scale ~floor q =
+    if floor then Q.floor Q.(q * of_int scale) else Q.to_scaled ~scale q
+end
+
+(* Every rational the analysis can reach — periods, deadlines, release
+   jitters, blocking terms, the platform-transformed demands C/α and
+   Cb/α, the supply latencies Δ and offsets β — lies on the lattice
+   (1/scale)·Z where [scale] is the lcm of their denominators, and the
+   recurrences above stay on it: running them on the scaled numerators
+   with int arithmetic is exact (see docs/THEORY.md).  A table holds
+   these constants on one timeline, once per engine session. *)
+type 'v t = {
   scale : int;
-  speriod : int array;  (* per transaction *)
-  sdeadline : int array;
-  srelease_jitter : int array;
-  shorizon : int array;  (* horizon_factor · max(period, deadline) *)
-  sbase : int array array;  (* per site: Δ + blocking *)
-  sbeta : int array array;
-  sc : int array array;  (* C/α *)
-  scb : int array array;  (* Cb/α *)
+  period : 'v array;  (* per transaction *)
+  deadline : 'v array;
+  release_jitter : 'v array;
+  horizon : 'v array;  (* horizon_factor · max(period, deadline) *)
+  base : 'v array array;  (* per site: Δ + blocking *)
+  beta : 'v array array;
+  c : 'v array array;  (* C/α *)
+  cb : 'v array array;  (* Cb/α *)
 }
+
+let rational (m : Model.t) ~horizon_factor =
+  let per_txn f = Array.map f m.Model.txns in
+  let per_site f =
+    Array.mapi
+      (fun a (tx : Model.txn) -> Array.mapi (f a) tx.Model.tasks)
+      m.Model.txns
+  in
+  {
+    scale = 1;
+    period = per_txn (fun tx -> tx.Model.period);
+    deadline = per_txn (fun tx -> tx.Model.deadline);
+    release_jitter = m.Model.release_jitter;
+    horizon =
+      per_txn (fun tx ->
+          Q.(of_int horizon_factor * max tx.Model.period tx.Model.deadline));
+    base =
+      per_site (fun a b tk -> Q.(Model.delta m tk + m.Model.blocking.(a).(b)));
+    beta = per_site (fun _ _ tk -> Model.beta m tk);
+    c = per_site (fun _ _ tk -> Q.(tk.Model.c / Model.alpha m tk));
+    cb = per_site (fun _ _ tk -> Q.(tk.Model.cb / Model.alpha m tk));
+  }
 
 (* Headroom rule: every scaled constant — including the busy-period
    horizon, the largest value the fixed points are allowed to reach —
@@ -32,77 +106,44 @@ type t = {
    going wrong. *)
 let headroom_bits = 10
 
-let fits v = abs v <= max_int asr headroom_bits
-
 let of_model (m : Model.t) ~horizon_factor =
-  let n = Model.n_txns m in
+  (* The platform-transformed demands are the only derived rationals
+     on the lattice — normalising each quotient is the expensive part of
+     this scan (engine rebinds pay it per probe), so the rational table
+     computes each quotient once and the scale scan and the scaled table
+     both read it. *)
   try
-    (* The platform-transformed demands are the only *derived* rationals
-       on the lattice — normalising each quotient is the expensive part
-       of this scan (engine rebinds pay it per probe), so compute every
-       quotient once and share it between the scale scan and the scaled
-       tables below. *)
-    let quot f =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b ->
-              let tk = Model.task m a b in
-              Q.(f tk / Model.alpha m tk)))
-    in
-    let qc = quot (fun tk -> tk.Model.c) in
-    let qcb = quot (fun tk -> tk.Model.cb) in
+    let q = rational m ~horizon_factor in
     let scale = ref 1 in
     let see v = scale := Q.lcm_den !scale v in
-    for a = 0 to n - 1 do
-      let tx = m.Model.txns.(a) in
-      see tx.Model.period;
-      see tx.Model.deadline;
-      see m.Model.release_jitter.(a);
-      for b = 0 to Model.n_tasks m a - 1 do
-        let tk = Model.task m a b in
-        see m.Model.blocking.(a).(b);
-        see (Model.delta m tk);
-        see (Model.beta m tk);
-        see qc.(a).(b);
-        see qcb.(a).(b)
-      done
-    done;
+    let see_all = Array.iter (Array.iter see) in
+    Array.iter see q.period;
+    Array.iter see q.deadline;
+    Array.iter see q.release_jitter;
+    see_all m.Model.blocking;
+    Array.iter
+      (fun (tx : Model.txn) ->
+        Array.iter (fun tk -> see (Model.delta m tk)) tx.Model.tasks)
+      m.Model.txns;
+    see_all q.beta;
+    see_all q.c;
+    see_all q.cb;
     let scale = !scale in
     let conv v =
       let s = Q.to_scaled ~scale v in
-      if fits s then s else raise Q.Overflow
+      if abs s <= max_int asr headroom_bits then s else raise Q.Overflow
     in
-    let per_site f =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b -> conv (f a b (Model.task m a b))))
-    in
-    let speriod =
-      Array.init n (fun a -> conv m.Model.txns.(a).Model.period)
-    in
-    let sdeadline =
-      Array.init n (fun a -> conv m.Model.txns.(a).Model.deadline)
-    in
-    let shorizon =
-      Array.init n (fun a ->
-          let h = Q.Checked.(horizon_factor * Stdlib.max speriod.(a) sdeadline.(a)) in
-          if fits h then h else raise Q.Overflow)
-    in
+    let row = Array.map conv and table = Array.map (Array.map conv) in
     Some
       {
         scale;
-        speriod;
-        sdeadline;
-        srelease_jitter =
-          Array.init n (fun a -> conv m.Model.release_jitter.(a));
-        shorizon;
-        sbase =
-          per_site (fun a b tk ->
-              Q.(Model.delta m tk + m.Model.blocking.(a).(b)));
-        sbeta = per_site (fun _ _ tk -> Model.beta m tk);
-        sc = per_site (fun a b _ -> qc.(a).(b));
-        scb = per_site (fun a b _ -> qcb.(a).(b));
+        period = row q.period;
+        deadline = row q.deadline;
+        release_jitter = row q.release_jitter;
+        horizon = row q.horizon;
+        base = table q.base;
+        beta = table q.beta;
+        c = table q.c;
+        cb = table q.cb;
       }
   with Q.Overflow -> None
-
-let scale t = t.scale
-
-let to_q t v = Q.of_scaled ~scale:t.scale v

@@ -1,5 +1,5 @@
-(** The integer timeline of a model — scaled-int constants for the
-    integer timeline kernels.
+(** The two timelines of the analysis — exact rationals and scaled
+    native ints — and the constant tables a model has on each.
 
     Let [scale] be the lcm of the denominators of every rational the
     analysis can reach in a model: periods, deadlines, release jitters,
@@ -15,33 +15,69 @@
     have produced.  See docs/THEORY.md for the closure argument and
     docs/PERFORMANCE.md for the headroom and fallback rules. *)
 
-type t = {
-  scale : int;  (** the common denominator lcm [L] *)
-  speriod : int array;  (** scaled period, per transaction *)
-  sdeadline : int array;
-  srelease_jitter : int array;
-  shorizon : int array;
-      (** scaled busy-period horizon
-          [horizon_factor · max(period, deadline)], per transaction *)
-  sbase : int array array;  (** per site (a, b): scaled [Δ + blocking] *)
-  sbeta : int array array;
-  sc : int array array;  (** scaled worst-case demand in platform time,
-                             [C/α] *)
-  scb : int array array;  (** scaled best-case demand in platform time,
-                             [Cb/α] *)
+(** The operations the per-site analysis ({!Rta.Make}) needs of a
+    number type. *)
+module type TIME = sig
+  type t
+
+  val zero : t
+  val ( + ) : t -> t -> t
+  val ( - ) : t -> t -> t
+
+  val mul : int -> t -> t
+  (** [mul n v] is [n·v]: a job count times a timeline value. *)
+
+  val floor_div : t -> t -> int
+  (** ⌊x/y⌋ for [y > 0] — a job count, the same on every timeline. *)
+
+  val ceil_div : t -> t -> int
+  (** ⌈x/y⌉ for [y > 0]. *)
+
+  val compare : t -> t -> int
+  val equal : t -> t -> bool
+
+  val to_q : scale:int -> t -> Rational.t
+  (** The rational a value on a timeline of this [scale] denotes. *)
+
+  val of_q : scale:int -> floor:bool -> Rational.t -> t
+  (** A rational onto the timeline: exactly, raising
+      [Rational.Overflow] when it is off the lattice or out of range,
+      or rounded down with [floor]. *)
+end
+
+module Rat : TIME with type t = Rational.t
+(** Exact rationals; [scale] is ignored. *)
+
+module Scaled : TIME with type t = int
+(** Scaled numerators in overflow-checked native ints: every operation
+    but the divisions (by positive scaled periods) raises
+    [Rational.Overflow] instead of wrapping. *)
+
+type 'v t = {
+  scale : int;  (** the common denominator lcm [L]; 1 on rationals *)
+  period : 'v array;  (** per transaction *)
+  deadline : 'v array;
+  release_jitter : 'v array;
+  horizon : 'v array;
+      (** busy-period horizon [horizon_factor · max(period, deadline)],
+          per transaction *)
+  base : 'v array array;  (** per site (a, b): [Δ + blocking] *)
+  beta : 'v array array;
+  c : 'v array array;  (** worst-case demand in platform time, [C/α] *)
+  cb : 'v array array;  (** best-case demand in platform time, [Cb/α] *)
 }
+(** A model's constants on one timeline. *)
 
-val of_model : Model.t -> horizon_factor:int -> t option
-(** Compute the scale and the scaled constant tables, or [None] when the
-    model has no usable integer timeline: the denominator lcm overflows,
-    or some scaled constant (including the horizon) exceeds
-    [max_int / 2{^10}].  The 10-bit headroom absorbs the sums and
-    job-count products of ordinary busy-period evaluations; kernels are
-    overflow-checked regardless, so [Some] is a fast-path eligibility
-    verdict, not a guarantee ({!Engine} falls back to the rational path
-    on a mid-analysis overflow). *)
+val rational : Model.t -> horizon_factor:int -> Rational.t t
+(** The model's own constants, with the quotients and sums above
+    computed once. *)
 
-val scale : t -> int
-
-val to_q : t -> int -> Rational.t
-(** [to_q t v] is the rational the scaled value [v] denotes. *)
+val of_model : Model.t -> horizon_factor:int -> int t option
+(** The scaled table, or [None] when the model has no usable integer
+    timeline: the denominator lcm overflows, or some scaled constant
+    (including the horizon) exceeds [max_int / 2{^10}].  The 10-bit
+    headroom absorbs the sums and job-count products of ordinary
+    busy-period evaluations; kernels are overflow-checked regardless,
+    so [Some] is a fast-path eligibility verdict, not a guarantee
+    ({!Engine} falls back to the rational path on a mid-analysis
+    overflow). *)

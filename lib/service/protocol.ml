@@ -261,12 +261,12 @@ let revoked ?tenant ~seq ~uid ~txns ~cached s =
   with_head ?tenant seq "revoke"
     (committed_body ~status:"revoked" ~uid ~txns ~cached s)
 
-let rejected ?tenant ~seq ~op ~uid ~reason ?errors ?violations
+let rejected ?tenant ~seq ~op ?uid ~reason ?errors ?violations
     ?candidate_instances ~hash () =
   Json.Obj
     (head ?tenant seq op
+    @ (match uid with None -> [] | Some uid -> [ ("id", Json.String uid) ])
     @ [
-        ("id", Json.String uid);
         ("status", Json.String "rejected");
         ("reason", Json.String reason);
         ("hash", Json.String hash);

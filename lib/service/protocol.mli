@@ -142,7 +142,7 @@ val rejected :
   ?tenant:string ->
   seq:int ->
   op:string ->
-  uid:string ->
+  ?uid:string ->
   reason:string ->
   ?errors:string list ->
   ?violations:violation list ->

@@ -423,10 +423,10 @@ let process_batch t envs =
            tenant = env.P.tenant;
          })
   in
-  let reject_invalid i ~op ~uid errors =
+  let reject_invalid i ~op ?uid errors =
     t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
     finish i ~status:"rejected" ~cache_hit:false ~session:None
-      (P.rejected ?tenant:arr.(i).P.tenant ~seq:arr.(i).P.seq ~op ~uid
+      (P.rejected ?tenant:arr.(i).P.tenant ~seq:arr.(i).P.seq ~op ?uid
          ~reason:"invalid" ~errors ~hash:tens.(i).Tenant.store.Store.hash ())
   in
   let finalize i =
@@ -451,11 +451,11 @@ let process_batch t envs =
         | Invalid errors ->
             let uid =
               match env.P.req with
-              | P.What_if { uid; _ } -> uid
-              | P.Region { resource; _ } -> resource
-              | _ -> "?"
+              | P.What_if { uid; _ } -> Some uid
+              | P.Region { resource; _ } -> Some resource
+              | _ -> None
             in
-            reject_invalid i ~op:(P.op_name env.P.req) ~uid errors
+            reject_invalid i ~op:(P.op_name env.P.req) ?uid errors
         | Evaluated { candidate; summary; cache_hit; kind; delta; fresh } -> (
             record_kind t kind;
             record_cache t cache_hit;

@@ -633,17 +633,18 @@ let qtxn name period tasks =
 
 let test_timebase_of_model () =
   let m = paper_model () in
-  match Analysis.Ir.timebase m ~horizon_factor:64 with
+  match Analysis.Timebase.of_model m ~horizon_factor:64 with
   | None -> Alcotest.fail "paper model must fit the integer timeline"
   | Some tb ->
       let module T = Analysis.Timebase in
-      Alcotest.(check bool) "positive scale" true (T.scale tb > 0);
+      let to_q = T.Scaled.to_q ~scale:tb.T.scale in
+      Alcotest.(check bool) "positive scale" true (tb.T.scale > 0);
       Array.iteri
         (fun a (tx : Model.txn) ->
           check_q "scaled period converts back" tx.Model.period
-            (T.to_q tb tb.T.speriod.(a));
+            (to_q tb.T.period.(a));
           check_q "scaled deadline converts back" tx.Model.deadline
-            (T.to_q tb tb.T.sdeadline.(a)))
+            (to_q tb.T.deadline.(a)))
         m.Model.txns
 
 (* A single constant within 2^10 of max_int fails the headroom rule, so
@@ -656,7 +657,7 @@ let unrepresentable_model () =
 let test_kernel_unrepresentable () =
   let m1 = unrepresentable_model () in
   Alcotest.(check bool) "headroom fails" true
-    (Analysis.Ir.timebase m1 ~horizon_factor:64 = None);
+    (Analysis.Timebase.of_model m1 ~horizon_factor:64 = None);
   (* Coprime denominators whose product exceeds max_int: each fits on
      its own, the lcm of the two does not. *)
   let m2 =
@@ -672,7 +673,7 @@ let test_kernel_unrepresentable () =
       ]
   in
   Alcotest.(check bool) "lcm overflows" true
-    (Analysis.Ir.timebase m2 ~horizon_factor:64 = None);
+    (Analysis.Timebase.of_model m2 ~horizon_factor:64 = None);
   let events = ref [] in
   let e = Engine.create ~sink:(fun ev -> events := ev :: !events) m2 in
   Alcotest.(check bool) "unrepresentable event" true
@@ -799,7 +800,8 @@ let kernel_identity_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let engaged =
-           Analysis.Ir.timebase m ~horizon_factor:P.default.P.horizon_factor
+           Analysis.Timebase.of_model m
+             ~horizon_factor:P.default.P.horizon_factor
            <> None
          in
          let with_gadget =
@@ -840,6 +842,86 @@ let kernel_identity_prop =
          engaged
          && agrees m P.exact && agrees m P.default
          && agrees with_gadget P.exact && agrees with_gadget P.default))
+
+(* --- an independent oracle --- *)
+
+(* Time-demand analysis (Lehoczky, Sha and Ding) on the abstract
+   platform.  With one platform, single-task transactions, no release
+   jitter and D <= T, task a meets its deadline iff at some scheduling
+   point t <= D_a — a multiple of an interferer's period, or D_a itself
+   — the platform has served the demand released in [0, t):
+   Δ + (C_a + Σ_{prio_j >= prio_a} ⌈t/T_j⌉·C_j)/α <= t.  No fixed point
+   and no recurrence shared with the analysis. *)
+let time_demand_schedulable (m : Model.t) =
+  let txns = List.init (Model.n_txns m) Fun.id in
+  let period j = m.Model.txns.(j).Model.period in
+  List.for_all
+    (fun a ->
+      let tk = Model.task m a 0 and d = m.Model.txns.(a).Model.deadline in
+      let hp =
+        List.filter
+          (fun j -> j <> a && (Model.task m j 0).Model.prio >= tk.Model.prio)
+          txns
+      in
+      let points =
+        d
+        :: List.concat_map
+             (fun j ->
+               List.init (Q.floor Q.(d / period j)) (fun k ->
+                   Q.mul_int (period j) (k + 1)))
+             hp
+      in
+      List.exists
+        (fun t ->
+          let demand =
+            List.fold_left
+              (fun acc j ->
+                let jobs = Q.of_int (Q.ceil Q.(t / period j)) in
+                Q.(acc + (jobs * (Model.task m j 0).Model.c)))
+              tk.Model.c hp
+          in
+          Q.(Model.delta m tk + (demand / Model.alpha m tk) <= t))
+        points)
+    txns
+
+(* Both timelines against the oracle: the kernel on (and engaged) runs
+   the scaled-int instance of the per-site analysis, off the rational
+   one. *)
+let time_demand_oracle_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"schedulable = time-demand oracle, both variants and timelines"
+       ~count:60
+       QCheck.(triple (int_range 1 10_000) (int_range 1 8) (int_range 0 5))
+       (fun (seed, n_txns, load) ->
+         let spec =
+           {
+             Workload.Gen.default_spec with
+             Workload.Gen.n_resources = 1;
+             n_txns;
+             max_tasks_per_txn = 1;
+             utilization = Q.make (10 + (2 * load)) 20;
+             delta_max = Q.of_int 10;
+             deadline_factor = (if load mod 2 = 0 then Q.one else Q.make 3 4);
+           }
+         in
+         let m = Model.of_system (Workload.Gen.system ~seed spec) in
+         let expected = time_demand_schedulable m in
+         List.for_all
+           (fun (params, int_kernel) ->
+             let counters = Rta.counters () in
+             let e =
+               Engine.create ~params:{ params with P.int_kernel } ~counters m
+             in
+             (Engine.analyze e).Report.schedulable = expected
+             && Rta.kernel_runs counters = Bool.to_int int_kernel
+             && Rta.kernel_fallbacks counters = 0)
+           [
+             (P.exact, true);
+             (P.exact, false);
+             (P.default, true);
+             (P.default, false);
+           ]))
 
 (* --- delta re-analysis --- *)
 
@@ -1363,6 +1445,7 @@ let () =
           Alcotest.test_case "unindexable scenario space is named" `Quick
             test_scenario_space_overflow;
         ] );
+      ("oracle", [ time_demand_oracle_prop ]);
       ( "delta",
         [
           delta_identity_prop;
