@@ -1287,7 +1287,75 @@ let delta_admit () =
      right reason *)
   if not !quick then
     check "x13/warm admit at least 2x faster than cold re-analysis"
-      (cold_batch_ms >= 2. *. warm_batch_ms)
+      (cold_batch_ms >= 2. *. warm_batch_ms);
+  (* Revokes lower values, so the planner must reset the survivors that
+     read the revoked unit.  Unit [i] runs at priority [i + 1]: nothing
+     reads the lowest unit, every unit on its platform reads the
+     highest. *)
+  let revoke uid =
+    match Service.Store.revoke store ~uid with
+    | Error es -> failwith (String.concat "; " es)
+    | Ok s -> Model.of_system s.Service.Store.sys
+  in
+  let revokes =
+    [|
+      ("lowest", revoke "u0");
+      ("highest", revoke (Printf.sprintf "u%d" (n_units - 1)));
+    |]
+  in
+  let warm_revokes () =
+    Array.map
+      (fun (_, m) ->
+        session := Analysis.Engine.with_model !session m;
+        Analysis.Engine.analyze_delta !session ~prev_model ~prev_report)
+      revokes
+  in
+  let cold_revokes () =
+    Array.map
+      (fun (_, m) ->
+        Analysis.Engine.analyze (Analysis.Engine.create ~params m))
+      revokes
+  in
+  let warm = warm_revokes () and cold = cold_revokes () in
+  let warm_revoke_ms =
+    median_wall ~rounds (fun () -> ignore (warm_revokes ()))
+  in
+  let cold_revoke_ms =
+    median_wall ~rounds (fun () -> ignore (cold_revokes ()))
+  in
+  Array.iteri
+    (fun i (name, (m : Model.t)) ->
+      let w, outcome = warm.(i) and c = cold.(i) in
+      check
+        (Printf.sprintf "x13/warm %s-priority revoke bit-identical to cold"
+           name)
+        (w.Report.results = c.Report.results
+        && w.Report.converged = c.Report.converged
+        && w.Report.schedulable = c.Report.schedulable);
+      let tasks =
+        Array.fold_left
+          (fun acc (tx : Model.txn) -> acc + Array.length tx.Model.tasks)
+          0 m.Model.txns
+      in
+      let reset =
+        match outcome with
+        | Analysis.Engine.Delta_warm { dirty; _ } -> dirty
+        | Analysis.Engine.Delta_cold _ -> tasks
+      in
+      if name = "lowest" then
+        check "x13/reset set strictly below total on the lowest revoke"
+          (reset < tasks);
+      Format.printf "%s-priority revoke: %d of %d tasks reset@." name reset
+        tasks;
+      metric
+        (Printf.sprintf "x13/revoke_%s_reset_tasks" name)
+        (float_of_int reset))
+    revokes;
+  Format.printf
+    "2 revokes x %d rounds: warm %.1f ms/batch, cold %.1f ms/batch (%.2fx)@."
+    rounds warm_revoke_ms cold_revoke_ms (cold_revoke_ms /. warm_revoke_ms);
+  metric "x13/warm_revoke_batch_ms" warm_revoke_ms;
+  metric "x13/cold_revoke_batch_ms" cold_revoke_ms
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings: one Test.make per paper artefact                  *)

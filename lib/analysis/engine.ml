@@ -280,55 +280,57 @@ let scaled t kernels =
 
 (* A warm start, planned by [Delta] or [Seeded] from a previous
    converged report: the sweep begins from the seeded jitter matrix
-   instead of the bottom.  Clean (pinned) transactions hold their
-   converged rows and carry their responses from [w_resp]; dirty (free)
-   ones are iterated.  [w_dirty] must be closed under the IR's
-   dependency rows (Ir.dirty_closure) — that is what makes the pinning
-   exact, see docs/INCREMENTAL.md.  Plans build it on rationals; [start]
-   moves it onto a timeline. *)
+   instead of the bottom.  Reset rows ([w_reset]) start at the cold
+   bottom, or at a seed below the least fixed point, and are computed in
+   the first sweep.  Every other row starts at its previous converged
+   jitters with the responses computed under them in [w_resp], at or
+   below the new least fixed point; it is not pinned: the sweep's
+   per-task [changed] test carries it exactly while none of the tasks it
+   reads moved (docs/INCREMENTAL.md).  Plans build it on rationals;
+   [start] moves it onto a timeline. *)
 type 'v warm = {
-  w_dirty : bool array;  (* per transaction, transitively closed *)
+  w_reset : bool array;  (* per transaction *)
   w_jit : 'v array array;
-  w_resp : 'v Report.outcome array array;  (* only clean rows are ever read *)
+  w_resp : 'v Report.outcome array array;  (* only kept rows are ever read *)
 }
 
 (* The one lattice rule for warm starts.  A warm report may come from
    another timebase, another parameter point or the rational path, so
-   its values need not lie on this timeline's lattice.  Pinned rows are
-   read as they are: they must convert exactly, and an off-lattice
-   value raises [Q.Overflow] so the start runs on rationals instead
-   (bit-identical, and the kernel stays unpoisoned for later calls).
-   Free rows are only a Kleene seed below the least fixed point:
-   rounding their jitters *down* keeps them below it, and their
-   responses, never read, start divergent.  A delta plan's free rows
-   sit at the cold bottom, which is on the lattice; a seeded plan's
-   rows are all free. *)
+   its values need not lie on this timeline's lattice.  Kept rows are
+   read as they are — their responses are carried against their
+   jitters: they must convert exactly, and an off-lattice value raises
+   [Q.Overflow] so the start runs on rationals instead (bit-identical,
+   and the kernel stays unpoisoned for later calls).  Reset rows are
+   only a Kleene seed below the least fixed point: rounding their
+   jitters *down* keeps them below it, and their responses, never read,
+   start divergent.  A delta plan's reset rows sit at the cold bottom,
+   which is on the lattice; a seeded plan's rows are all reset. *)
 let start (type v) (tl : v timeline) w =
   let module C = (val tl.core) in
   let of_q = C.of_q ~scale:tl.tb.Timebase.scale in
   {
-    w_dirty = w.w_dirty;
+    w_reset = w.w_reset;
     w_jit =
       Array.mapi
-        (fun a row -> Array.map (of_q ~floor:w.w_dirty.(a)) row)
+        (fun a row -> Array.map (of_q ~floor:w.w_reset.(a)) row)
         w.w_jit;
     w_resp =
       Array.mapi
         (fun a row ->
           Array.map
             (function
-              | Report.Finite r when not w.w_dirty.(a) ->
+              | Report.Finite r when not w.w_reset.(a) ->
                   Report.Finite (of_q ~floor:false r)
               | _ -> Report.Divergent)
             row)
         w.w_resp;
   }
 
-(* One Jacobi sweep.  With [incremental], a site none of whose
-   dependency rows — precompiled in the IR — is [changed] since the
-   previous sweep carries its response from [prev]: the response is a
-   pure function of those rows, so the carried value is bit-identical
-   to a recomputation (the qcheck identity properties assert this).
+(* One Jacobi sweep.  With [incremental], a site none of whose read
+   tasks ({!Ir.reads_any}) is [changed] since the previous sweep carries
+   its response from [prev]: the response is a pure function of those
+   tasks' offsets and jitters, so the carried value is bit-identical to
+   a recomputation (the qcheck identity properties assert this).
    The other sites run as one pool region, [compute site] writing each
    response at its own index.  A sweep reads only the previous sweep's
    rows, so the result does not depend on which slot runs which site,
@@ -341,14 +343,7 @@ let sweep t ~prev ~changed ~compute =
   let resp, carries =
     match prev with
     | Some pr when t.params.Params.incremental ->
-        ( copy_matrix pr,
-          fun (site : Ir.site) ->
-            let d = site.Ir.deps in
-            let hit = ref false in
-            for i = 0 to Array.length d - 1 do
-              if d.(i) && changed i then hit := true
-            done;
-            not !hit )
+        (copy_matrix pr, fun site -> not (Ir.reads_any site changed))
     | _ ->
         ( Array.map
             (fun (tx : Model.txn) ->
@@ -404,16 +399,22 @@ let fixed_point (type v) t (tl : v timeline) ~warm =
   let jit = match warm with Some w -> w.w_jit | None -> bottom_jitters () in
   let rbest = ref (best ~jit) in
   let phi = ref (offsets_of m C.zero !rbest) in
-  (* Rows whose values changed in the latest jitter/offset update; all
-     dirty before the first sweep so every task is computed once.  A
-     warm start instead seeds exactly its dirty frontier: clean rows
-     hold the converged values their carried responses were computed
-     under, so carrying them is the same bit-identical shortcut the
-     within-run incremental sweep takes.  (Warm starts imply the Simple
-     best case — see [Delta.plan] — so the offsets are constant and
-     [phi_dirty] stays false.) *)
+  (* Tasks whose jitters changed, and transactions whose offsets
+     changed, in the latest update; all dirty before the first sweep so
+     every task is computed once.  A warm start instead marks exactly
+     its reset rows: every other row holds the values its carried
+     responses were computed under, so carrying them is the same
+     bit-identical shortcut the within-run incremental sweep takes.
+     Offsets stay per transaction, since the refined best case moves
+     whole rows.  (Warm starts imply the Simple best case — see
+     [Delta.plan] — so the offsets are constant and [phi_dirty] stays
+     false.) *)
   let jit_dirty =
-    match warm with Some w -> Array.copy w.w_dirty | None -> Array.make n true
+    Array.mapi
+      (fun a row ->
+        Array.make (Array.length row)
+          (match warm with Some w -> w.w_reset.(a) | None -> true))
+      jit
   in
   let phi_dirty = Array.make n (Option.is_none warm) in
   let prev = ref (Option.map (fun w -> w.w_resp) warm) in
@@ -427,7 +428,7 @@ let fixed_point (type v) t (tl : v timeline) ~warm =
     && !iterations < params.Params.max_outer_iterations
   do
     incr iterations;
-    let changed i = jit_dirty.(i) || phi_dirty.(i) in
+    let changed i j = jit_dirty.(i).(j) || phi_dirty.(i) in
     let resp, recomputed =
       sweep t ~prev:!prev ~changed ~compute:(fun site ->
           tl.compute site ~phi:!phi ~jit)
@@ -472,15 +473,13 @@ let fixed_point (type v) t (tl : v timeline) ~warm =
        done
      with Exit -> diverged := true);
     if not !diverged then begin
-      Array.fill jit_dirty 0 n false;
       Array.fill phi_dirty 0 n false;
       let same = ref true in
       for a = 0 to n - 1 do
         for b = 0 to Model.n_tasks m a - 1 do
-          if not (C.equal next.(a).(b) jit.(a).(b)) then begin
-            same := false;
-            jit_dirty.(a) <- true
-          end
+          let moved = not (C.equal next.(a).(b) jit.(a).(b)) in
+          jit_dirty.(a).(b) <- moved;
+          if moved then same := false
         done
       done;
       if !same then converged := true
@@ -591,13 +590,12 @@ module Delta = struct
 
   (* The transactions of two models are aligned by name — admission
      changes the transaction count, so positional indices never
-     transfer.  A transaction is clean when everything its own response
+     transfer.  A transaction is kept when everything its own response
      equations read is unchanged: period, deadline, release jitter,
      blocking, the task chain (demands, placement, priorities) and the
      linear bounds of every platform its tasks run on.  Interference
-     *from other* transactions is not part of this check — changes
-     there are other transactions' dirtiness, propagated through the
-     dependency rows by the closure. *)
+     *from other* transactions is not part of this check — an added or
+     dropped interferer is decided by [plan] through the hp rule. *)
   let txn_clean ~prev_model ~model ~prev_a ~a =
     let om = prev_model and nm = model in
     let ot = om.Model.txns.(prev_a) and nt = nm.Model.txns.(a) in
@@ -614,6 +612,15 @@ module Delta = struct
                 nm.Model.bounds.(tk.Model.res))
          nt.Model.tasks
 
+  (* The reset set — rows that restart from the bottom — is every new or
+     changed transaction, every kept one whose previous equations read a
+     dropped (removed or changed) transaction, and the closure of the
+     latter over the IR: a drop can lower values, so neither those rows
+     nor rows computed from them may start at their old values.  Every
+     other row starts at its previous converged values.  Those lie at or
+     below the new least fixed point: the rows not reset form a closed
+     subsystem of the previous model, and the new model only adds
+     non-negative interference to it (docs/THEORY.md, "Warm starts"). *)
   let plan t ~prev_model ~prev_report =
     let params = t.params in
     if not prev_report.Report.converged then Error "previous-not-converged"
@@ -622,91 +629,74 @@ module Delta = struct
       Error "refined-best-case"
     else if params.Params.keep_history then Error "history-requested"
     else begin
-      let m = t.model in
+      let m = t.model and om = prev_model in
       let n = Model.n_txns m in
-      let seed = Array.make n false in
+      let prev_index = Hashtbl.create (Model.n_txns om) in
+      Array.iteri
+        (fun oa (ot : Model.txn) ->
+          Hashtbl.replace prev_index ot.Model.tname oa)
+        om.Model.txns;
+      (* [old_of.(a)]: the previous index of a kept transaction, or -1;
+         [kept.(oa)]: whether previous transaction [oa] is kept *)
       let old_of = Array.make n (-1) in
-      let matched = ref 0 in
+      let kept = Array.make (Model.n_txns om) false in
       for a = 0 to n - 1 do
-        match Model.find_txn prev_model m.Model.txns.(a).Model.tname with
-        | Some oa ->
-            incr matched;
-            if txn_clean ~prev_model ~model:m ~prev_a:oa ~a then
-              old_of.(a) <- oa
-            else seed.(a) <- true
-        | None -> seed.(a) <- true
+        match Hashtbl.find_opt prev_index m.Model.txns.(a).Model.tname with
+        | Some oa when txn_clean ~prev_model:om ~model:m ~prev_a:oa ~a ->
+            old_of.(a) <- oa;
+            kept.(oa) <- true
+        | _ -> ()
       done;
-      (* dirty = total already: every row restarts from bottom and the
-         remaining diff bookkeeping has nothing left to mark, so skip
-         straight to the cold path — this is where the planning overhead
-         used to exceed the work it saved on small stores (bench X13) *)
-      if Array.for_all Fun.id seed then Error "all-dirty"
+      if Array.for_all (fun oa -> oa < 0) old_of then Error "all-dirty"
       else begin
-        (* A removed transaction's interference is gone from equations
-           the new dependency rows cannot see any more; conservatively
-           seed every survivor that shares a platform with it.  Clean
-           survivors keep their resource indices (the task chains
-           compared equal), so the overlap test in the old model's
-           indexing is exact.  Transaction names are unique, so every
-           previous transaction survived iff each one matched some new
-           transaction above — the admission-heavy common case, which
-           skips this quadratic scan entirely. *)
-        if !matched < Array.length prev_model.Model.txns then
-          Array.iter
-            (fun (ot : Model.txn) ->
-              if
-                not
-                  (Array.exists
-                     (fun (tx : Model.txn) -> tx.Model.tname = ot.Model.tname)
-                     m.Model.txns)
-              then
-                Array.iter
-                  (fun (otk : Model.task) ->
-                    Array.iteri
-                      (fun a (tx : Model.txn) ->
-                        if
-                          (not seed.(a))
-                          && Array.exists
-                               (fun (tk : Model.task) ->
-                                 tk.Model.res = otk.Model.res)
-                               tx.Model.tasks
-                        then seed.(a) <- true)
-                      m.Model.txns)
-                  ot.Model.tasks)
-            prev_model.Model.txns;
-        let dirty = Ir.dirty_closure t.ir ~seed in
-        if Array.for_all Fun.id dirty then Error "all-dirty"
+        (* Kept tasks keep their resource indices (their chains compared
+           equal), so the hp rule applies in the previous indexing: a
+           kept task read a dropped one iff some dropped task on its
+           platform has at least its priority. *)
+        let top = Array.make (Array.length om.Model.bounds) min_int in
+        Array.iteri
+          (fun oa (ot : Model.txn) ->
+            if not kept.(oa) then
+              Array.iter
+                (fun (tk : Model.task) ->
+                  top.(tk.Model.res) <- max top.(tk.Model.res) tk.Model.prio)
+                ot.Model.tasks)
+          om.Model.txns;
+        let readers =
+          Array.init n (fun a ->
+              old_of.(a) >= 0
+              && Array.exists
+                   (fun (tk : Model.task) ->
+                     top.(tk.Model.res) >= tk.Model.prio)
+                   m.Model.txns.(a).Model.tasks)
+        in
+        let reset = Ir.dirty_closure t.ir ~seed:readers in
+        Array.iteri (fun a oa -> if oa < 0 then reset.(a) <- true) old_of;
+        if Array.for_all Fun.id reset then Error "all-dirty"
         else begin
+          let prev_results = prev_report.Report.results in
+          let row a ~bottom field =
+            if reset.(a) then Array.make (Model.n_tasks m a) bottom
+            else Array.map field prev_results.(old_of.(a))
+          in
           let w_jit =
             Array.init n (fun a ->
-                let nt = Model.n_tasks m a in
-                if dirty.(a) then begin
-                  let row = Array.make nt Q.zero in
-                  row.(0) <- m.Model.release_jitter.(a);
-                  row
-                end
-                else
-                  Array.init nt (fun b ->
-                      prev_report.Report.results.(old_of.(a)).(b)
-                        .Report.jitter))
+                let row = row a ~bottom:Q.zero (fun r -> r.Report.jitter) in
+                if reset.(a) then row.(0) <- m.Model.release_jitter.(a);
+                row)
           in
           let w_resp =
             Array.init n (fun a ->
-                let nt = Model.n_tasks m a in
-                if dirty.(a) then Array.make nt Report.Divergent
-                else
-                  Array.init nt (fun b ->
-                      prev_report.Report.results.(old_of.(a)).(b)
-                        .Report.response))
+                row a ~bottom:Report.Divergent (fun r -> r.Report.response))
           in
           let dirty_tasks = ref 0 in
           Array.iteri
             (fun a d ->
               if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
-            dirty;
+            reset;
           Ok
             {
-              warm = { w_dirty = dirty; w_jit; w_resp };
+              warm = { w_reset = reset; w_jit; w_resp };
               dirty_tasks = !dirty_tasks;
               total_tasks = Ir.n_tasks t.ir;
             }
@@ -740,12 +730,13 @@ let analyze_delta t ~prev_model ~prev_report =
       let carried = total - dirty in
       emit t (Delta { dirty; total; carried });
       (* A warm run that converged reached the system's least fixed
-         point (the seed is below it coordinatewise and the clean block
-         is pinned at it — docs/INCREMENTAL.md), and under early exit a
-         converged run is schedulable by construction, so the report is
-         the cold report bit for bit.  Anything else — early exit on
-         the dirty frontier, iteration cap — is rerun cold so the
-         non-converged report matches the cold iterates exactly. *)
+         point (the seed is below it coordinatewise, so every iterate
+         is, and a fixed point below the least one is the least one —
+         docs/THEORY.md), and under early exit a converged run is
+         schedulable by construction, so the report is the cold report
+         bit for bit.  Anything else — early exit, iteration cap — is
+         rerun cold so the non-converged report matches the cold
+         iterates exactly. *)
       run_warm t p.Delta.warm ~ran:ignore
         ~keep:(fun r -> r.Report.converged)
         ~outcome:(Delta_warm { dirty; total; carried })
@@ -887,7 +878,7 @@ module Seeded = struct
       let distance =
         Option.value ~default:Q.zero (distance ~seed:seed_model m)
       in
-      Ok ({ w_dirty = Array.make n true; w_jit; w_resp }, distance)
+      Ok ({ w_reset = Array.make n true; w_jit; w_resp }, distance)
     end
 end
 

@@ -2,7 +2,7 @@
 
     An engine session binds together everything one analysis run needs —
     the {!Model.t}, the compiled {!Ir.t} (participant sets, mixed-radix
-    scenario layouts, dependency rows), the {!Params.t}, the worker
+    scenario layouts, per-task dependency sets), the {!Params.t}, the worker
     {!Parallel.Pool.t}, the interference {!Memo.t} and the scenario
     {!Rta.counters} — as one immutable value.  Creating the session pays
     the per-model compilation cost once; every subsequent {!analyze},
@@ -52,9 +52,11 @@ type event =
   | Analysis_started of { variant : Params.variant }
   | Delta of { dirty : int; total : int; carried : int }
       (** Emitted by {!analyze_delta} when a warm plan is executed:
-          [dirty] tasks sit on the dirty frontier and will be iterated,
-          [carried] tasks ride on their previously converged responses,
-          [total = dirty + carried] is the task count of the model.
+          [dirty] tasks are in the reset set and restart from the
+          bottom, [carried] tasks start at their previously converged
+          jitters and responses (and are recomputed only once a task
+          they read moves), [total = dirty + carried] is the task count
+          of the model.
           Followed by the warm run's ordinary [Analysis_started] /
           [Sweep] / [Finished] stream (and, on a warm fallback, by a
           second full cold stream). *)
@@ -67,9 +69,10 @@ type event =
           the warm start skipped (the exact cold count would cost the
           cold run the seeding avoids). *)
   | Sweep of { iteration : int; recomputed : int; carried : int }
-      (** One outer Jacobi iteration finished; [recomputed] tasks had a
-          dirty dependency row, [carried] reused their previous response
-          (incremental mode). *)
+      (** One outer Jacobi iteration finished; [recomputed] tasks read
+          a task whose jitter or offset moved ({!Ir.reads_any}),
+          [carried] reused their previous response (incremental
+          mode). *)
   | Finished of { iterations : int; converged : bool; schedulable : bool }
   | Pool_stats of { steals : int; splits : int; idle : int }
       (** Emitted after an analysis during which the pool's work-stealing
@@ -193,18 +196,22 @@ val response_times : t -> Report.bound array array
     {!analyze} pays a full outer fixed point — every task recomputed
     from the bottom — even when the session's model differs from a
     previously analysed one by a single admitted or revoked fragment.
-    {!analyze_delta} instead diffs the two models into a changed
-    transaction set, closes it over the IR's dependency rows
-    ({!Ir.dirty_closure}), pins every clean transaction's jitter row
-    and responses at the previous converged values and iterates only
-    the dirty frontier — O(affected) instead of O(system), with the
-    same report bit for bit.  Design, convergence argument and fallback
-    conditions: docs/INCREMENTAL.md. *)
+    {!analyze_delta} instead restarts from the bottom only the rows a
+    change can lower — new and changed transactions, the survivors
+    whose previous equations read a removed or changed one, and their
+    closure over the IR ({!Ir.dirty_closure}) — and starts every other
+    row at its previous converged jitters and responses, which lie at or
+    below the new least fixed point.  The sweep's per-task change test
+    then recomputes only sites whose inputs move: a pure admission
+    restarts just its own rows.  O(affected) instead of O(system), with
+    the same report bit for bit.  Design, convergence argument and
+    fallback conditions: docs/INCREMENTAL.md. *)
 
 type delta_outcome =
   | Delta_warm of { dirty : int; total : int; carried : int }
-      (** The warm fixed point converged; [carried] of [total] tasks
-          reused their previous responses without recomputation. *)
+      (** The warm fixed point converged; [dirty] of [total] tasks
+          restarted from the bottom and the other [carried] started at
+          their previous converged values. *)
   | Delta_cold of { reason : string }
       (** The analysis ran cold.  [reason] is one of
           ["previous-not-converged"], ["incremental-disabled"],
@@ -213,23 +220,25 @@ type delta_outcome =
           early-exited or hit the iteration cap and was rerun cold). *)
 
 (** The planning half of {!analyze_delta}, exposed for tests and
-    benchmarks that want to inspect the dirty frontier without running
-    the analysis. *)
+    benchmarks that want to inspect the reset set without running the
+    analysis. *)
 module Delta : sig
   type plan
 
   val plan :
     t -> prev_model:Model.t -> prev_report:Report.t -> (plan, string) result
-  (** Align [prev_model]'s transactions with the session's by name,
-      seed the changed ones (different period, deadline, jitter,
-      blocking, task chain or platform bounds — plus every survivor
-      sharing a platform with a removed transaction), and close the
-      seed over the session IR's dependency rows.  [Error reason] when
-      warm analysis is unsound or pointless — the [Delta_cold] reasons
-      above, except ["warm-not-converged"]. *)
+  (** Align [prev_model]'s transactions with the session's by name
+      (one name table), and build the reset set: new and changed
+      transactions (different period, deadline, jitter, blocking, task
+      chain or platform bounds), every kept transaction with a task
+      that a removed or changed transaction's task could preempt under
+      the previous model's hp rule (same platform, priority at least
+      its own), and the closure of those survivors over the session
+      IR.  [Error reason] when warm analysis is unsound or pointless —
+      the [Delta_cold] reasons above, except ["warm-not-converged"]. *)
 
   val dirty_tasks : plan -> int
-  (** Tasks on the dirty frontier (to be iterated). *)
+  (** Tasks in the reset set (restarting from the bottom). *)
 
   val total_tasks : plan -> int
   (** Task count of the session's model. *)
@@ -247,10 +256,10 @@ val analyze_delta :
     trajectory.  Emits [Delta] before a warm run; plans that fail and
     warm runs that do not converge fall back to the cold path
     transparently ({!Rta.delta_fallbacks}).  On a kernel session the
-    warm start is scaled onto the integer timeline when the pinned
-    (clean) rows lie on its lattice, and runs on exact rationals
-    otherwise; the dirty rows sit at the cold bottom, which always
-    does (docs/INCREMENTAL.md). *)
+    warm start is scaled onto the integer timeline when the kept rows
+    lie on its lattice, and runs on exact rationals otherwise; the
+    reset rows sit at the cold bottom, which always does
+    (docs/INCREMENTAL.md). *)
 
 (** {1 Seeded analysis}
 

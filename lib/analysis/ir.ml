@@ -18,7 +18,6 @@ type site = {
   remotes : remote array;
   stride : int array;
   total : int;
-  deps : bool array;
 }
 
 type t = {
@@ -75,13 +74,15 @@ let compile_site m ~a ~b =
          Q.Checked.(stride.(ri) * Array.length remotes.(ri).choices)
      done
    with Q.Overflow -> stride.(n_rem) <- 0);
-  (* The response of (a, b) reads the offset/jitter rows of its own
-     transaction and of every remote transaction with interfering
-     tasks — exactly the participant set above. *)
-  let deps = Array.make n false in
-  deps.(a) <- true;
-  Array.iter (fun r -> deps.(r.txn) <- true) remotes;
-  { a; b; own_hp; own; remotes; stride; total = stride.(n_rem); deps }
+  { a; b; own_hp; own; remotes; stride; total = stride.(n_rem) }
+
+(* The response of (a, b) reads the offsets and jitters of exactly the
+   tasks its scenarios are built from: the own initiators (which include
+   (a, b) itself) and each remote's interfering tasks.  Nothing else of
+   any jitter or offset row enters Rta's recurrences. *)
+let reads_any s f =
+  List.exists (f s.a) s.own
+  || Array.exists (fun r -> List.exists (f r.txn) r.hp_list) s.remotes
 
 let shape_of m =
   Array.init (Model.n_txns m) (fun a ->
@@ -138,35 +139,26 @@ let exact_scenarios t =
 
 let compatible t m = t.shape = shape_of m
 
-(* Transitive closure of a dirty seed over the dependency rows, at
-   transaction granularity: a transaction is dirty when any of its sites
-   reads the jitter/offset row of a dirty transaction.  Iterated to a
-   fixed point, so the clean complement is a closed subsystem — every
-   dependency of a clean site lands on another clean transaction.  That
-   closure is what lets Engine.Delta pin clean rows at their previously
-   converged values: the pinned block's equations never read a dirty
-   row, so carrying is exact (see docs/INCREMENTAL.md). *)
+(* Transitive closure of a dirty seed over [reads_any], at transaction
+   granularity: a transaction is dirty when any of its sites reads a task
+   of a dirty transaction.  Iterated to a fixed point, so the clean
+   complement is closed — no clean site reads a dirty row.  Engine.Delta
+   closes the survivors whose old values may sit above the new least
+   fixed point, so every row that read one of them restarts too (see
+   docs/INCREMENTAL.md). *)
 let dirty_closure t ~seed =
-  let n = t.n_txns in
-  if Array.length seed <> n then
+  if Array.length seed <> t.n_txns then
     invalid_arg "Ir.dirty_closure: seed length mismatch";
   let dirty = Array.copy seed in
-  let changed = ref true in
+  let changed = ref (Array.exists Fun.id seed) in
   while !changed do
     changed := false;
     Array.iter
-      (fun row ->
-        Array.iter
-          (fun s ->
-            if not dirty.(s.a) then
-              Array.iteri
-                (fun i d ->
-                  if d && dirty.(i) then begin
-                    dirty.(s.a) <- true;
-                    changed := true
-                  end)
-                s.deps)
-          row)
-      t.sites
+      (fun s ->
+        if (not dirty.(s.a)) && reads_any s (fun i _ -> dirty.(i)) then begin
+          dirty.(s.a) <- true;
+          changed := true
+        end)
+      t.flat
   done;
   dirty

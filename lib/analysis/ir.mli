@@ -2,9 +2,10 @@
 
     Interference participant sets (Eq. 17), the mixed-radix layout of
     the exact scenario space (Eq. 12) and the outer fixed point's
-    dependency rows are pure functions of task placement and priorities.
-    Rather than recompute them on every analysis and every response-time
-    call, {!compile} hoists them once per {!Engine} session.
+    per-task dependency sets are pure functions of task placement and
+    priorities.  Rather than recompute them on every analysis and every
+    response-time call, {!compile} hoists them once per {!Engine}
+    session.
 
     The IR never reads demands, periods, platform bounds, offsets or
     jitters, so one IR serves every model that shares the placement
@@ -39,13 +40,16 @@ type site = {
   total : int;
       (** the remote scenario count [Π |choices|], or [0] when that
           product exceeds [max_int] — read it through {!exact_total} *)
-  deps : bool array;
-      (** [deps.(i)] iff the response of [(a, b)] reads the offset or
-          jitter row of transaction [i] — the incremental outer fixed
-          point's dependency row *)
 }
 (** Everything {!Rta.S.response} needs about one task under
     analysis. *)
+
+val reads_any : site -> (int -> int -> bool) -> bool
+(** [reads_any s f] iff [f i j] holds for some task [(i, j)] whose
+    offset or jitter the response of [s] reads.  Those tasks are exactly
+    [own] in transaction [a] (which includes [(a, b)] itself) and each
+    remote's [hp_list]: the per-task dependency set of the incremental
+    outer fixed point. *)
 
 exception Scenario_space_too_large of { a : int; b : int }
 (** The exact scenario space of task [(a, b)] has more than [max_int]
@@ -92,16 +96,16 @@ val compatible : t -> Model.t -> bool
 (** [compatible t m] iff [m] has the same transaction/task shape and
     identical per-task (resource, priority) assignment as the model the
     IR was compiled from — the exact condition under which every hp set,
-    stride and dependency row of [t] is valid for [m].  Demands,
+    stride and dependency set of [t] is valid for [m].  Demands,
     periods, deadlines, bounds, blocking and jitter may all differ. *)
 
 val dirty_closure : t -> seed:bool array -> bool array
-(** Transitive closure of a per-transaction dirty seed over the IR's
-    dependency rows: the result marks [a] dirty whenever some site of
-    transaction [a] reads the jitter/offset row of a (transitively)
-    dirty transaction.  The clean complement is therefore a {e closed}
-    subsystem — no clean site depends on a dirty row — which is the
-    condition under which {!Engine.analyze_delta} may pin clean rows at
-    their previously converged values and iterate only the dirty
-    frontier (the warm fixed-point argument of docs/INCREMENTAL.md).
-    [seed] must have length {!n_txns}. *)
+(** Transitive closure of a per-transaction dirty seed over
+    {!reads_any}: the result marks [a] dirty whenever some site of
+    transaction [a] reads a task of a (transitively) dirty transaction.
+    The clean complement is therefore {e closed} — no clean site reads a
+    dirty row.  {!Engine.Delta} closes the survivors whose previous
+    values may lie above the new least fixed point, so every row whose
+    previous values were computed from theirs restarts as well (the
+    warm fixed-point argument of docs/INCREMENTAL.md).  [seed] must have
+    length {!n_txns}. *)

@@ -934,43 +934,119 @@ let same_verdict (a : Report.t) (b : Report.t) =
   && a.Report.converged = b.Report.converged
   && a.Report.schedulable = b.Report.schedulable
 
-(* Admit-like and revoke-like perturbations of a model: append one
-   small transaction on the first platform, or drop the last
-   transaction.  Both reuse the platform array so only the transaction
-   set moves — exactly what Store snapshots feed the server. *)
+(* Model edits as the service makes them: the platform array is
+   reused, so only the transaction set moves — exactly what Store
+   snapshots feed the server. *)
+let with_txns (m : Model.t) txns =
+  let prev (tx : Model.txn) =
+    Array.find_index
+      (fun (o : Model.txn) -> o.Model.tname = tx.Model.tname)
+      m.Model.txns
+  in
+  {
+    m with
+    Model.txns;
+    blocking =
+      Array.map
+        (fun (tx : Model.txn) ->
+          match prev tx with
+          | Some a -> m.Model.blocking.(a)
+          | None -> Array.make (Array.length tx.Model.tasks) Q.zero)
+        txns;
+    release_jitter =
+      Array.map
+        (fun tx ->
+          match prev tx with
+          | Some a -> m.Model.release_jitter.(a)
+          | None -> Q.zero)
+        txns;
+  }
+
+let admit m tx = with_txns m (Array.append m.Model.txns [| tx |])
+
+let revoke m a =
+  with_txns m
+    (Array.of_list
+       (List.filteri (fun i _ -> i <> a) (Array.to_list m.Model.txns)))
+
+let edit_txn m a f =
+  with_txns m
+    (Array.mapi (fun i tx -> if i = a then f tx else tx) m.Model.txns)
+
+let edit_tasks f (tx : Model.txn) =
+  { tx with Model.tasks = Array.map f tx.Model.tasks }
+
+let top_prio (tx : Model.txn) =
+  Array.fold_left (fun acc (tk : Model.task) -> max acc tk.Model.prio) 0
+    tx.Model.tasks
+
+(* The first transaction whose highest task priority wins [better]
+   against every other: [(>)] picks the highest-priority transaction,
+   [(<)] the lowest. *)
+let txn_by_prio better (m : Model.t) =
+  let best = ref 0 in
+  Array.iteri
+    (fun a tx ->
+      if better (top_prio tx) (top_prio m.Model.txns.(!best)) then best := a)
+    m.Model.txns;
+  !best
+
+(* Perturbations of a model covering every way the delta planner can
+   classify a row: a low- and a high-priority admit, the admit of a
+   chain over three platforms, revokes of the last, the highest- and the
+   lowest-priority transaction, a survivor whose demand grows or shrinks
+   or whose priority changes, and a revoke and an admit in one step.
+   The first two are the admit-like and revoke-like edits other tests
+   take by position. *)
 let delta_perturbations (m : Model.t) =
-  let admitted =
-    qtxn "delta.admitted" (Q.of_int 60)
-      [ qtask "delta.admitted.t" Q.one Q.one 0 1 ]
-  in
-  let admit_like =
-    {
-      m with
-      Model.txns = Array.append m.Model.txns [| admitted |];
-      blocking = Array.append m.Model.blocking [| [| Q.zero |] |];
-      release_jitter = Array.append m.Model.release_jitter [| Q.zero |];
-    }
-  in
   let n = Array.length m.Model.txns in
-  let revoke_like =
-    {
-      m with
-      Model.txns = Array.sub m.Model.txns 0 (n - 1);
-      blocking = Array.sub m.Model.blocking 0 (n - 1);
-      release_jitter = Array.sub m.Model.release_jitter 0 (n - 1);
-    }
+  let n_res = Array.length m.Model.bounds in
+  let top =
+    Array.fold_left (fun acc tx -> max acc (top_prio tx)) 1 m.Model.txns
   in
-  [ admit_like; revoke_like ]
+  let single name prio =
+    qtxn name (Q.of_int 60) [ qtask (name ^ ".t") Q.one Q.one 0 prio ]
+  in
+  let chain =
+    qtxn "delta.chain" (Q.of_int 100)
+      (List.mapi
+         (fun i prio ->
+           qtask
+             (Printf.sprintf "delta.chain.%d" i)
+             Q.one (Q.make 1 2) (i mod n_res) prio)
+         [ top + 1; 1; (top + 1) / 2 ])
+  in
+  let scale f (tk : Model.task) =
+    { tk with Model.c = Q.(tk.Model.c * f); cb = Q.(tk.Model.cb * f) }
+  in
+  [
+    admit m (single "delta.admitted" 1);
+    revoke m (n - 1);
+    admit m (single "delta.urgent" (top + 1));
+    admit m chain;
+    revoke m (txn_by_prio ( > ) m);
+    revoke m (txn_by_prio ( < ) m);
+    edit_txn m 0
+      (edit_tasks (fun tk -> { tk with Model.c = Q.(tk.Model.c * make 5 4) }));
+    edit_txn m 0 (edit_tasks (scale (Q.make 3 4)));
+    edit_txn m 0
+      (edit_tasks (fun tk ->
+           {
+             tk with
+             Model.prio = (if tk.Model.prio = top then 1 else top + 1);
+           }));
+    admit (revoke m 0) (single "delta.urgent" (top + 1));
+  ]
 
 (* The tentpole identity: a warm delta fixed point seeded from the
    previous converged report reproduces the cold analysis bit for bit
-   on results, convergence and verdict — for admit-like and revoke-like
-   perturbations, both variants, sequential and 4-domain pools, and the
-   integer kernel on or off.  Plans that fall back cold (previous run
-   not converged, everything dirty, …) are exercised by the same
-   property: analyze_delta must agree with the cold reference either
-   way.  Only the outer iteration count may differ — the warm
-   trajectory is shorter by construction. *)
+   on results, convergence and verdict — for every perturbation above,
+   both variants, sequential and 4-domain pools, and the integer kernel
+   on or off.  Plans that fall back cold (previous run not converged,
+   everything dirty, …) are exercised by the same property:
+   analyze_delta must agree with the cold reference either way.  Only
+   the outer iteration count may differ — the warm trajectory is
+   shorter by construction. *)
 let delta_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
@@ -990,79 +1066,193 @@ let delta_identity_prop =
          let sys = Workload.Gen.system ~seed spec in
          let prev = Model.of_system sys in
          QCheck.assume (scenario_total prev < 20_000);
-         let agrees base next =
+         let agrees base =
            let params = { base with P.keep_history = false } in
            let prev_report = Engine.analyze (Engine.create ~params prev) in
-           let reference = Engine.analyze (Engine.create ~params next) in
            List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let e = Engine.create ~params ~pool next in
-                   let r, _ =
-                     Engine.analyze_delta e ~prev_model:prev ~prev_report
-                   in
-                   same_verdict r reference))
-             [ 1; 4 ]
+             (fun next ->
+               let reference = Engine.analyze (Engine.create ~params next) in
+               List.for_all
+                 (fun jobs ->
+                   Parallel.Pool.with_pool ~jobs (fun pool ->
+                       let e = Engine.create ~params ~pool next in
+                       let r, _ =
+                         Engine.analyze_delta e ~prev_model:prev ~prev_report
+                       in
+                       same_verdict r reference))
+                 [ 1; 4 ])
+             (delta_perturbations prev)
          in
          List.for_all
-           (fun next ->
-             List.for_all
-               (fun kernel ->
-                 agrees { P.exact with P.int_kernel = kernel } next
-                 && agrees { P.default with P.int_kernel = kernel } next)
-               [ true; false ])
-           (delta_perturbations prev)))
+           (fun kernel ->
+             agrees { P.exact with P.int_kernel = kernel }
+             && agrees { P.default with P.int_kernel = kernel })
+           [ true; false ]))
 
-(* Two independent platforms, so an admission on the second can only
-   dirty transactions whose interference set intersects it. *)
-let two_platform_model ?(extra = false) () =
+(* Two independent platforms, so an edit on the second can only reach
+   transactions whose interference set intersects it. *)
+let two_platform_model ?(extra = false) ?(c_prio = 3) () =
   Model.make
     ~bounds:[ LB.full; LB.full ]
     ([
        txn "A" "10" [ task "A.t" "2" "1" 0 2 ];
        txn "B" "12" [ task "B.t" "3" "2" 1 2 ];
      ]
-    @ if extra then [ txn "C" "20" [ task "C.t" "1" "1" 1 3 ] ] else [])
+    @ if extra then [ txn "C" "20" [ task "C.t" "1" "1" 1 c_prio ] ] else [])
+
+(* [analyze_delta] from [prev] to [next] with a sink: the outcome, the
+   (recomputed, carried) counts of every sweep, and the check that the
+   report is the cold one. *)
+let delta_run prev next =
+  let prev_report = Engine.analyze (Engine.create ~params:delta_params prev) in
+  let sweeps = ref [] in
+  let sink = function
+    | Engine.Sweep { recomputed; carried; _ } ->
+        sweeps := (recomputed, carried) :: !sweeps
+    | _ -> ()
+  in
+  let e = Engine.create ~params:delta_params ~sink next in
+  let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
+  Alcotest.(check bool) "bit-identical results" true
+    (same_verdict r (Engine.analyze (Engine.create ~params:delta_params next)));
+  (outcome, List.rev !sweeps)
+
+let check_warm msg ~dirty ~total = function
+  | Engine.Delta_warm w ->
+      Alcotest.(check (triple int int int))
+        (msg ^ ": dirty, total, carried")
+        (dirty, total, total - dirty)
+        (w.dirty, w.total, w.carried)
+  | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason
+
+let sweeps = Alcotest.(list (pair int int))
 
 let test_delta_localized_admit () =
   let prev = two_platform_model () in
   let next = two_platform_model ~extra:true () in
-  let prev_report = Engine.analyze (Engine.create ~params:delta_params prev) in
-  let e = Engine.create ~params:delta_params next in
-  (* C (priority 3, platform 1) interferes with B but not with A: the
-     dirty closure is {B, C} and A's converged row is carried. *)
-  (match Engine.Delta.plan e ~prev_model:prev ~prev_report with
+  (* C (priority 3, platform 1) interferes with B but not with A.  Added
+     interference only raises B's least fixed point, so B starts at its
+     previous values and only C restarts from the bottom; the first
+     sweep recomputes B (it reads C) and C, and carries A. *)
+  (match
+     Engine.Delta.plan
+       (Engine.create ~params:delta_params next)
+       ~prev_model:prev
+       ~prev_report:(Engine.analyze (Engine.create ~params:delta_params prev))
+   with
   | Error r -> Alcotest.failf "expected a warm plan, got %s" r
   | Ok p ->
       Alcotest.(check int) "total tasks" 3 (Engine.Delta.total_tasks p);
-      Alcotest.(check int) "dirty tasks" 2 (Engine.Delta.dirty_tasks p));
-  let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
-  (match outcome with
-  | Engine.Delta_warm { dirty; total; carried } ->
-      Alcotest.(check int) "dirty" 2 dirty;
-      Alcotest.(check int) "total" 3 total;
-      Alcotest.(check int) "carried" 1 carried
-  | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
-  Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Engine.analyze (Engine.create ~params:delta_params next)))
+      Alcotest.(check int) "dirty tasks" 1 (Engine.Delta.dirty_tasks p));
+  let outcome, sw = delta_run prev next in
+  check_warm "admit" ~dirty:1 ~total:3 outcome;
+  Alcotest.(check int) "first sweep recomputes B and C" 2 (fst (List.hd sw))
 
 let test_delta_revoke () =
   (* revoking C must re-iterate B (its interference shrank — responses
-     can decrease, which is exactly why the plan seeds every survivor
-     sharing a platform with the removed transaction) and carry A *)
-  let prev = two_platform_model ~extra:true () in
-  let next = two_platform_model () in
-  let prev_report = Engine.analyze (Engine.create ~params:delta_params prev) in
-  let e = Engine.create ~params:delta_params next in
-  let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
-  (match outcome with
-  | Engine.Delta_warm { dirty; total; carried } ->
-      Alcotest.(check int) "dirty" 1 dirty;
-      Alcotest.(check int) "total" 2 total;
-      Alcotest.(check int) "carried" 1 carried
-  | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
-  Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Engine.analyze (Engine.create ~params:delta_params next)))
+     can decrease, which is exactly why the plan resets every survivor
+     whose previous equations read the removed transaction) and carry
+     A *)
+  let outcome, _ =
+    delta_run (two_platform_model ~extra:true ()) (two_platform_model ())
+  in
+  check_warm "revoke" ~dirty:1 ~total:2 outcome
+
+let test_delta_revoke_lowest () =
+  (* C at priority 1 sits below B on platform 1: no survivor ever read
+     it, so nothing resets and the one warm sweep carries everything *)
+  let outcome, sw =
+    delta_run
+      (two_platform_model ~extra:true ~c_prio:1 ())
+      (two_platform_model ())
+  in
+  check_warm "lowest revoke" ~dirty:0 ~total:2 outcome;
+  Alcotest.check sweeps "one sweep, all carried" [ (0, 2) ] sw
+
+let test_delta_revoke_highest () =
+  (* revoking C, the top priority of platform 1, resets exactly its
+     readers — B — while A and D on platform 0 keep their values and
+     are carried by the first sweep *)
+  let model ~extra =
+    Model.make
+      ~bounds:[ LB.full; LB.full ]
+      ([
+         txn "A" "10" [ task "A.t" "2" "1" 0 2 ];
+         txn "B" "12" [ task "B.t" "3" "2" 1 2 ];
+         txn "D" "30" [ task "D.t" "2" "1" 0 1 ];
+       ]
+      @ if extra then [ txn "C" "20" [ task "C.t" "1" "1" 1 3 ] ] else [])
+  in
+  let outcome, sw = delta_run (model ~extra:true) (model ~extra:false) in
+  check_warm "highest revoke" ~dirty:1 ~total:3 outcome;
+  Alcotest.(check (pair int int)) "first sweep recomputes B only" (1, 2)
+    (List.hd sw)
+
+(* A revoke lowers the survivors that read the removed transaction, and
+   through their jitters every row that read them.  On this workload the
+   readers of the top-priority transaction feed a jitter cycle with more
+   than one fixed point: seeding the second ring at its old values,
+   without the closure, converges to a fixed point above the least one
+   (found by a random search; every variant, kernel on and off).  With
+   the closure every row resets, so the plan runs cold. *)
+let test_delta_revoke_closure () =
+  let spec =
+    {
+      Workload.Gen.default_spec with
+      Workload.Gen.n_txns = 5;
+      max_tasks_per_txn = 3;
+    }
+  in
+  let prev = Model.of_system (Workload.Gen.system ~seed:95498 spec) in
+  let next = revoke prev (txn_by_prio ( > ) prev) in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun int_kernel ->
+          let params = { base with P.keep_history = false; int_kernel } in
+          let prev_report = Engine.analyze (Engine.create ~params prev) in
+          let r, outcome =
+            Engine.analyze_delta (Engine.create ~params next) ~prev_model:prev
+              ~prev_report
+          in
+          (match outcome with
+          | Engine.Delta_cold { reason } ->
+              Alcotest.(check string) "closure reaches every row" "all-dirty"
+                reason
+          | Engine.Delta_warm _ -> Alcotest.fail "expected a cold plan");
+          Alcotest.(check bool) "bit-identical results" true
+            (same_verdict r (Engine.analyze (Engine.create ~params next))))
+        [ true; false ])
+    [ P.exact; P.default ]
+
+let test_chain_carries_per_task () =
+  (* X is a chain x0 (platform 0) -> x1 (platform 1); Y on platform 0
+     reads only x0, Z on platform 1 only x1.  After the first sweep
+     only x1's jitter moves, so the second sweep recomputes x1 and Z
+     and carries x0 and Y — a per-transaction test would recompute Y,
+     whose site reads a task of the changed transaction X. *)
+  let m =
+    Model.make
+      ~bounds:[ LB.full; LB.full ]
+      [
+        txn "X" "10" [ task "x0" "2" "1" 0 3; task "x1" "2" "1" 1 3 ];
+        txn "Y" "20" [ task "y0" "1" "1" 0 1 ];
+        txn "Z" "20" [ task "z0" "1" "1" 1 1 ];
+      ]
+  in
+  let sw = ref [] in
+  let sink = function
+    | Engine.Sweep { recomputed; carried; _ } ->
+        sw := (recomputed, carried) :: !sw
+    | _ -> ()
+  in
+  let r = Engine.analyze (Engine.create ~sink m) in
+  Alcotest.check sweeps "recomputed, carried per sweep" [ (4, 0); (2, 2) ]
+    (List.rev !sw);
+  Alcotest.(check bool) "same report as without incrementality" true
+    (same_verdict r
+       (Engine.analyze
+          (Engine.create ~params:{ P.default with P.incremental = false } m)))
 
 let test_delta_plan_gates () =
   let m = two_platform_model () in
@@ -1454,6 +1644,14 @@ let () =
           Alcotest.test_case "revoke re-iterates the survivors" `Quick
             test_delta_revoke;
           Alcotest.test_case "plan gates" `Quick test_delta_plan_gates;
+          Alcotest.test_case "lowest-priority revoke resets no survivor" `Quick
+            test_delta_revoke_lowest;
+          Alcotest.test_case "highest-priority revoke resets its readers"
+            `Quick test_delta_revoke_highest;
+          Alcotest.test_case "revoke resets the closure of its readers" `Quick
+            test_delta_revoke_closure;
+          Alcotest.test_case "chain site carried when a later task moves"
+            `Quick test_chain_carries_per_task;
         ] );
       ( "seeded",
         [
